@@ -8,7 +8,6 @@ package perflow_test
 //	go test -bench=. -benchmem
 
 import (
-	"context"
 	"io"
 	"testing"
 	"time"
@@ -422,99 +421,6 @@ func BenchmarkFlowGraphParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPlannedVsUnplanned measures the pass-plan compiler end to end:
-// the same analysis graphs run with planning on (fusion, traversal
-// selection, hoisted materializations) and off (the classic per-node
-// scheduler). Three shapes at ranks 8 and 64 on the zeusmp Table-1 model:
-// "comm" is the §2.2 communication-analysis paradigm (chain fusion),
-// "profiler" is an mpiP-style fan-out of six sibling scan passes over the
-// filtered MPI set of the parallel view (scan fusion, clone elision, and
-// top-k/decorate-sort traversal selection), and "scalability" is the
-// Listing 7 two-scale paradigm (materialization hoisting on the parallel
-// view). Reports are byte-identical either way (TestPlanEquivalence...);
-// this benchmark prices the difference. BENCH_PR7.json snapshots the
-// results.
-func BenchmarkPlannedVsUnplanned(b *testing.B) {
-	ctx := context.Background()
-	for _, ranks := range []int{8, 64} {
-		ranks := ranks
-		res, err := collector.Collect(workloads.ZeusMP(false), collector.Options{Ranks: ranks})
-		if err != nil {
-			b.Fatal(err)
-		}
-		small, err := collector.Collect(workloads.ZeusMP(false), collector.Options{Ranks: ranks / 2, SkipParallelView: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		modes := []struct {
-			name string
-			opts []core.RunOption
-		}{
-			{"planned", nil},
-			{"unplanned", []core.RunOption{core.WithPlanning(false)}},
-		}
-		for _, m := range modes {
-			m := m
-			b.Run("comm_r"+itoa(ranks)+"_"+m.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					imb, _, _, err := core.CommunicationAnalysis(ctx, res.TopDown, 10, nil, m.opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = imb
-				}
-			})
-			b.Run("profiler_r"+itoa(ranks)+"_"+m.name, func(b *testing.B) {
-				g := profilerFanoutGraph(res.Parallel)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := g.Run(m.opts...); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("scalability_r"+itoa(ranks)+"_"+m.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sr, err := core.ScalabilityAnalysis(ctx, small.TopDown, res.TopDown, res.Parallel, 10, nil, m.opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sr.Backtracked == nil {
-						b.Fatal("no backtracked set")
-					}
-				}
-			})
-		}
-	}
-}
-
-// profilerFanoutGraph wires an mpiP-style profile: one MPI filter feeding
-// six sibling per-vertex analyses. Annotation-writing passes are serialized
-// with After edges per the engine's contract; the plan compiler fuses the
-// whole sibling group into one shared sweep.
-func profilerFanoutGraph(env *pag.PAG) *core.PerFlowGraph {
-	g := core.NewPerFlowGraph()
-	src := g.AddSource("pag", core.AllVertices(env))
-	f := g.Chain(src, core.FilterPass("MPI_*"))
-	hotE := g.AddPass(core.HotspotPass(pag.MetricExclTime, 10))
-	hotT := g.AddPass(core.HotspotPass(pag.MetricTime, 10))
-	imb := g.AddPass(core.ImbalancePass(pag.MetricTime, 1.2))
-	bd := g.AddPass(core.BreakdownPass())
-	ws := g.AddPass(core.WaitStatePass())
-	hotW := g.AddPass(core.HotspotPass(pag.MetricWait, 10))
-	for _, n := range []*core.PNode{hotE, hotT, imb, bd, ws, hotW} {
-		if err := g.Connect(f, 0, n, 0); err != nil {
-			panic(err)
-		}
-	}
-	g.After(bd, imb)
-	g.After(ws, bd)
-	return g
 }
 
 func itoa(n int) string {

@@ -23,10 +23,8 @@ var chaosSeeds = []int64{1, 7, 42}
 
 // chaosReport runs the full pipeline (collect with faults + profile,
 // hotspot and engine-backed comm analyses) and returns the rendered report
-// bytes. noPlan toggles the pass-plan compiler for the engine-backed
-// analysis, so the matrix also pins planned-vs-unplanned equivalence on
-// degraded data.
-func chaosReport(t *testing.T, seed int64, parallelism int, noPlan bool) []byte {
+// bytes.
+func chaosReport(t *testing.T, seed int64, parallelism int) []byte {
 	t.Helper()
 	plan, err := perflow.ParseFaultPlan(fmt.Sprintf(
 		"seed=%d;crash:rank=3,at=900;drop:rank=1,prob=0.4;slow:rank=2,factor=3", seed))
@@ -34,7 +32,6 @@ func chaosReport(t *testing.T, seed int64, parallelism int, noPlan bool) []byte 
 		t.Fatal(err)
 	}
 	pf := perflow.New()
-	pf.NoPlan = noPlan
 	res, err := pf.RunWorkload("cg", perflow.RunOptions{
 		Ranks:            8,
 		SkipParallelView: true,
@@ -69,15 +66,13 @@ func TestChaosDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base := chaosReport(t, seed, 1, false)
+			base := chaosReport(t, seed, 1)
 			for _, par := range []int{1, 8} {
-				for _, noPlan := range []bool{false, true} {
-					for run := 0; run < 2; run++ {
-						got := chaosReport(t, seed, par, noPlan)
-						if !bytes.Equal(base, got) {
-							t.Fatalf("seed %d: report differs (parallelism %d, noplan %v, run %d)\n--- base ---\n%s\n--- got ---\n%s",
-								seed, par, noPlan, run, base, got)
-						}
+				for run := 0; run < 2; run++ {
+					got := chaosReport(t, seed, par)
+					if !bytes.Equal(base, got) {
+						t.Fatalf("seed %d: report differs (parallelism %d, run %d)\n--- base ---\n%s\n--- got ---\n%s",
+							seed, par, run, base, got)
 					}
 				}
 			}
@@ -89,7 +84,7 @@ func TestChaosDeterminism(t *testing.T) {
 // seed: different seeds must perturb the probabilistic drops and so the
 // degraded reports.
 func TestChaosSeedsDiffer(t *testing.T) {
-	if bytes.Equal(chaosReport(t, 1, 1, false), chaosReport(t, 7, 1, false)) {
+	if bytes.Equal(chaosReport(t, 1, 1), chaosReport(t, 7, 1)) {
 		t.Error("reports identical across seeds; drop hashing is not seeded")
 	}
 }

@@ -47,7 +47,6 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		par        = fs.Int("j", 0, "worker count for sharded PAG construction (0 = all cores)")
 		faults     = fs.String("faults", "", "deterministic fault-injection plan applied to the run(s)")
 		skipLint   = fs.Bool("skip-lint", false, "skip the static diagnostics gate before simulation")
-		noPlan     = fs.Bool("noplan", false, "disable the pass-plan compiler; gate results are identical either way")
 		jsonOut    = fs.Bool("json", false, "emit the gate result as JSON")
 		report     = fs.Bool("report", false, "also print the analysis report before the gate result")
 	)
@@ -81,7 +80,6 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		Threads:     *threads,
 		Top:         *topN,
 		Parallelism: *par,
-		NoPlan:      *noPlan,
 		SkipLint:    *skipLint,
 		Faults:      *faults,
 		Policies:    []string{string(policySrc)},

@@ -54,54 +54,21 @@ type ExecutionTrace struct {
 	// Failures lists the passes that failed without stopping the run
 	// (degraded mode), ordered by node id. Empty for a clean run.
 	Failures []PassFailure
-	// Plan records the pass-plan compiler's decisions for the run; nil when
-	// the run used the classic per-node scheduler (WithPlanning(false)).
+	// Plan is always nil.
+	//
+	// Deprecated: the engine runs one per-node scheduler and compiles no
+	// plan. The field remains only for source compatibility and will be
+	// removed.
 	Plan *PlanTrace
 }
 
-// PlanStageInfo describes one compiled execution stage: which nodes it
-// fused, how, and the traversal decisions taken for its passes.
-type PlanStageInfo struct {
-	Stage int    `json:"stage"`
-	Kind  string `json:"kind"` // "fallback", "single", "chain", or "scan"
-	Nodes []int  `json:"nodes"`
-	// Passes names the stage members, in execution order.
-	Passes []string `json:"passes"`
-	// Traversals records the traversal/direction chosen per traversal-kind
-	// member, e.g. "critical_path: topo(cached-csr)".
-	Traversals []string `json:"traversals,omitempty"`
-}
-
-// PlanMatInfo describes one hoisted materialization: a structure-derived
-// artifact (frozen CSR, DAG skeleton, LCA ancestor machinery) computed once
-// and shared by every consuming stage, released when the last one finishes.
-type PlanMatInfo struct {
-	Env       string `json:"env"`  // environment description, e.g. "pag(parallel,64r)"
-	What      string `json:"what"` // artifact, e.g. "dag-skeleton+lca"
-	Consumers int    `json:"consumers"`
-	// Reused marks a materialization that was already cached from an
-	// earlier pass or run when the plan prewarmed it.
-	Reused bool `json:"reused,omitempty"`
-	// ReleasedAfterStage is the stage whose completion dropped the plan's
-	// reference; -1 while the run is in flight.
-	ReleasedAfterStage int `json:"released_after_stage"`
-}
-
-// PlanTrace is the pass-plan compiler's record of how a run was compiled:
-// the stage partition, the hoisted materializations, and the savings the
-// plan claims (fused passes, elided defensive clones).
+// PlanTrace is the record of a compiled execution plan.
+//
+// Deprecated: no plan is compiled any more (ExecutionTrace.Plan is always
+// nil). The type remains only for source compatibility and will be
+// removed.
 type PlanTrace struct {
-	Stages           []PlanStageInfo `json:"stages"`
-	Materializations []PlanMatInfo   `json:"materializations,omitempty"`
-	// FusedPasses counts passes that shared a stage with at least one other
-	// pass (chain or scan fusion).
-	FusedPasses int `json:"fused_passes"`
-	// ScansFused counts sibling scan passes that shared one loop beyond the
-	// first of each group — the traversals the fusion saved.
-	ScansFused int `json:"scans_fused"`
-	// ClonesElided counts defensive copy-on-fan-out clones proven
-	// unnecessary because every consumer in the stage is pure.
-	ClonesElided int `json:"clones_elided"`
+	Stages []struct{}
 }
 
 func newExecutionTrace(workers int, wall time.Duration, spans []PassSpan) *ExecutionTrace {
@@ -183,11 +150,6 @@ func (t *ExecutionTrace) Write(w io.Writer) error {
 		})
 	}
 	writeAligned(w, rows)
-	if t.Plan != nil {
-		if err := t.Plan.write(w); err != nil {
-			return err
-		}
-	}
 	if len(t.Failures) > 0 {
 		if _, err := fmt.Fprintf(w, "== degraded: %d pass failure(s) ==\n", len(t.Failures)); err != nil {
 			return err
@@ -196,40 +158,6 @@ func (t *ExecutionTrace) Write(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "node %d %s [%s]: %s\n", f.Node, f.Pass, f.Reason, f.Err); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// write renders the plan section of a trace: the stage partition with
-// fusion kinds and traversal decisions, then hoisted materializations.
-func (p *PlanTrace) write(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== plan (%d stages, %d fused passes, %d scans fused, %d clones elided) ==\n",
-		len(p.Stages), p.FusedPasses, p.ScansFused, p.ClonesElided); err != nil {
-		return err
-	}
-	rows := [][]string{{"stage", "kind", "passes", "traversal"}}
-	for _, st := range p.Stages {
-		tr := "-"
-		if len(st.Traversals) > 0 {
-			tr = strings.Join(st.Traversals, "; ")
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", st.Stage),
-			st.Kind,
-			strings.Join(st.Passes, " + "),
-			tr,
-		})
-	}
-	writeAligned(w, rows)
-	for _, m := range p.Materializations {
-		reuse := "built"
-		if m.Reused {
-			reuse = "reused"
-		}
-		if _, err := fmt.Fprintf(w, "materialized %s for %s: %s, %d consumer(s), released after stage %d\n",
-			m.What, m.Env, reuse, m.Consumers, m.ReleasedAfterStage); err != nil {
-			return err
 		}
 	}
 	return nil

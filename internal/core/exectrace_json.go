@@ -33,9 +33,6 @@ type JSONTrace struct {
 	MaxParallelism int               `json:"max_parallelism"`
 	Spans          []JSONPassSpan    `json:"spans"`
 	Failures       []JSONPassFailure `json:"failures,omitempty"`
-	// Plan is the pass-plan compiler's record (stages, fusion, hoisted
-	// materializations); absent when the run was unplanned.
-	Plan *PlanTrace `json:"plan,omitempty"`
 }
 
 // BuildJSONTrace converts an execution trace into its JSON envelope; a nil
@@ -66,6 +63,5 @@ func BuildJSONTrace(t *ExecutionTrace) *JSONTrace {
 	for _, f := range t.Failures {
 		jt.Failures = append(jt.Failures, JSONPassFailure(f))
 	}
-	jt.Plan = t.Plan
 	return jt
 }

@@ -192,7 +192,6 @@ type runConfig struct {
 	maxWorkers        int
 	passTimeout       time.Duration
 	continueOnFailure bool
-	noPlan            bool
 }
 
 // RunOption customizes one RunCtx invocation.
@@ -223,17 +222,6 @@ func WithPassTimeout(d time.Duration) RunOption {
 // aborts everything.
 func WithContinueOnFailure() RunOption {
 	return func(c *runConfig) { c.continueOnFailure = true }
-}
-
-// WithPlanning toggles the pass-plan compiler (default on). With planning,
-// the whole graph is compiled into an execution plan before any pass runs —
-// sibling scan passes fuse into one traversal, pure chains collapse into one
-// stage, shared structure artifacts are hoisted and refcounted — and
-// ExecutionTrace.Plan records every decision. Results are byte-identical
-// either way; WithPlanning(false) is the escape hatch that forces the
-// classic per-node scheduler (the pflow -noplan flag).
-func WithPlanning(on bool) RunOption {
-	return func(c *runConfig) { c.noPlan = !on }
 }
 
 // PassPanicError is the failure recorded when a pass panics: the scheduler
@@ -279,9 +267,11 @@ type portKey struct {
 //
 // Cancellation of ctx stops the run: no new pass starts, context-aware
 // passes (ContextPass) are interrupted, and all in-flight passes drain
-// before RunCtx returns. The first pass failure likewise cancels the
-// remaining work; when several parallel passes fail, the reported error is
-// deterministic (the failing node added earliest wins).
+// before RunCtx returns. A pass failure likewise stops the run: no further
+// pass is released, and the remaining work is canceled once every queued
+// or running pass added before the failed one has finished. So when several
+// parallel passes fail, the reported error is deterministic (the failing
+// node added earliest wins).
 //
 // When one output port feeds several consumers, each consumer receives its
 // own shallow copy of the set (shared environment, private V/E slices), so
@@ -318,12 +308,6 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		return newResults(g, tr), nil
 	}
 
-	if !cfg.noPlan {
-		if p := g.buildPlan(cfg, consumers); p != nil {
-			return g.runPlanned(ctx, cfg, workers, p, succs, consumers)
-		}
-	}
-
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -334,11 +318,17 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		failures     = map[int]error{}
 		passFailures []PassFailure // degraded mode: failures that did not stop the run
 		spans        = make([]PassSpan, 0, total)
+		pending      = map[int]bool{} // enqueued and not yet finished
+		stopAt       = -1             // once the run is stopping: the earliest-added failed node
 	)
+	enqueue := func(n *PNode) {
+		pending[n.id] = true
+		queue <- n
+	}
 	start := time.Now()
 	for id, d := range indeg {
 		if d == 0 {
-			queue <- g.nodes[id]
+			enqueue(g.nodes[id])
 		}
 	}
 
@@ -349,17 +339,33 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 	finish := func(n *PNode, out []*Set, err error, fallback []*Set) {
 		mu.Lock()
 		defer mu.Unlock()
+		delete(pending, n.id)
 		if err != nil {
 			if !cfg.continueOnFailure || errors.Is(err, context.Canceled) ||
 				(errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil) {
 				failures[n.id] = err
-				cancel() // first failure cancels in-flight siblings
-				return
+				if stopAt < 0 || n.id < stopAt {
+					stopAt = n.id
+				}
+			} else {
+				passFailures = append(passFailures, PassFailure{
+					Node: n.id, Pass: n.Name(), Reason: failureReason(err), Err: err.Error(),
+				})
+				out = fallback
 			}
-			passFailures = append(passFailures, PassFailure{
-				Node: n.id, Pass: n.Name(), Reason: failureReason(err), Err: err.Error(),
-			})
-			out = fallback
+		}
+		if stopAt >= 0 {
+			// The run is stopping: release nothing, and cancel the passes
+			// still in flight once no node added before the earliest failure
+			// is queued or running. Such a node may fail too, and then it is
+			// the one reported, whichever failed first on the clock.
+			for id := range pending {
+				if id < stopAt {
+					return
+				}
+			}
+			cancel()
+			return
 		}
 		n.outputs = out
 		n.done = true
@@ -371,7 +377,7 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		for _, sid := range succs[n.id] {
 			indeg[sid]--
 			if indeg[sid] == 0 {
-				queue <- g.nodes[sid]
+				enqueue(g.nodes[sid])
 			}
 		}
 	}
@@ -388,6 +394,13 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 				case n, ok := <-queue:
 					if !ok || rctx.Err() != nil {
 						return
+					}
+					mu.Lock()
+					skip := stopAt >= 0 && n.id > stopAt // cannot change the reported error
+					mu.Unlock()
+					if skip {
+						finish(n, nil, nil, nil)
+						continue
 					}
 					g.execNode(rctx, n, wid, start, cfg, consumers, &mu, &spans, finish)
 				}
@@ -464,7 +477,25 @@ func (g *PerFlowGraph) execNode(ctx context.Context, n *PNode, wid int, start ti
 	cfg runConfig, consumers map[portKey]int, mu *sync.Mutex, spans *[]PassSpan,
 	finish func(*PNode, []*Set, error, []*Set)) {
 
-	fallback := func(in []*Set) []*Set { return g.fallbackFor(n, consumers, in) }
+	fallback := func(in []*Set) []*Set {
+		ports := 1
+		for k := range consumers {
+			if k.node == n.id && k.port+1 > ports {
+				ports = k.port + 1
+			}
+		}
+		fb := make([]*Set, ports)
+		for i := range fb {
+			fb[i] = &Set{}
+			for _, s := range in {
+				if s != nil && s.PAG != nil {
+					fb[i].PAG = s.PAG
+					break
+				}
+			}
+		}
+		return fb
+	}
 
 	in := make([]*Set, len(n.inputs))
 	for i, ref := range n.inputs {
@@ -503,30 +534,6 @@ func (g *PerFlowGraph) execNode(ctx context.Context, n *PNode, wid int, start ti
 	mu.Unlock()
 
 	finish(n, out, err, fallback(in))
-}
-
-// fallbackFor builds a failed node's degraded-mode substitute outputs: one
-// empty set per consumed output port, over the environment of the first
-// available input, so downstream passes receive well-formed (empty) data.
-// Shared by the classic scheduler and the planned executor.
-func (g *PerFlowGraph) fallbackFor(n *PNode, consumers map[portKey]int, in []*Set) []*Set {
-	ports := 1
-	for k := range consumers {
-		if k.node == n.id && k.port+1 > ports {
-			ports = k.port + 1
-		}
-	}
-	fb := make([]*Set, ports)
-	for i := range fb {
-		fb[i] = &Set{}
-		for _, s := range in {
-			if s != nil && s.PAG != nil {
-				fb[i].PAG = s.PAG
-				break
-			}
-		}
-	}
-	return fb
 }
 
 // runPassBounded enforces the per-pass timeout around runPass. Without a

@@ -5,11 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"perflow/internal/pag"
 )
 
 // forwardPass returns a named pass that forwards its input unchanged.
@@ -384,4 +388,94 @@ func TestEmptyGraphRuns(t *testing.T) {
 	if len(res.Nodes()) != 0 || res.Trace() == nil {
 		t.Error("empty run malformed")
 	}
+}
+
+// TestRandomGraphsMatchAcrossWorkers is the scheduler's determinism
+// property test: random PerFlowGraphs wired from the built-in pass pool
+// produce identical per-node outputs on 1 and 8 workers.
+func TestRandomGraphsMatchAcrossWorkers(t *testing.T) {
+	env := collect(t, analysisProgram(t), 8).TopDown
+	for trial := 0; trial < 25; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		g, nodes := randomAnalysisGraph(rng, env)
+		var want []string
+		for _, workers := range []int{1, 8} {
+			if _, err := g.Run(WithMaxWorkers(workers)); err != nil {
+				t.Fatalf("trial %d (workers=%d): %v", trial, workers, err)
+			}
+			got := snapshotOutputs(nodes)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d: outputs diverge at %d workers\nwant %v\ngot  %v",
+					trial, workers, want, got)
+			}
+		}
+	}
+}
+
+// randomAnalysisGraph wires 4-10 random built-in passes over env. Per the
+// engine's annotation contract, a writer pass (imbalance, breakdown,
+// wait-state) is ordered with After edges against every other node, so it
+// never runs alongside a pass reading the same vertices. Every node is
+// returned.
+func randomAnalysisGraph(rng *rand.Rand, env *pag.PAG) (*PerFlowGraph, []*PNode) {
+	g := NewPerFlowGraph()
+	src := g.AddSource("pag", AllVertices(env))
+	nodes := []*PNode{src}
+	var writers []*PNode
+
+	n := 4 + rng.Intn(7)
+	for i := 0; i < n; i++ {
+		pick := func() *PNode { return nodes[rng.Intn(len(nodes))] }
+		var nd *PNode
+		isWriter := false
+		switch rng.Intn(8) {
+		case 0:
+			nd = g.Chain(pick(), FilterPass("MPI_*"))
+		case 1:
+			nd = g.Chain(pick(), FilterPass("*"))
+		case 2:
+			nd = g.Chain(pick(), HotspotPass(pag.MetricExclTime, 1+rng.Intn(6)))
+		case 3:
+			nd = g.Chain(pick(), HotspotPass(pag.MetricTime, 1+rng.Intn(4)))
+		case 4:
+			nd = g.Chain(pick(), ImbalancePass(pag.MetricTime, 1.2))
+			isWriter = true
+		case 5:
+			nd = g.Chain(pick(), BreakdownPass())
+			isWriter = true
+		case 6:
+			nd = g.Chain(pick(), WaitStatePass())
+			isWriter = true
+		case 7:
+			nd = g.AddPass(UnionPass())
+			g.Connect(pick(), 0, nd, 0)
+			g.Connect(pick(), 0, nd, 1)
+		}
+		if isWriter {
+			g.After(nd, nodes...)
+			writers = append(writers, nd)
+		} else {
+			g.After(nd, writers...)
+		}
+		nodes = append(nodes, nd)
+	}
+	return g, nodes
+}
+
+// snapshotOutputs flattens every node's output sets into comparable
+// strings of vertex and edge IDs.
+func snapshotOutputs(nodes []*PNode) []string {
+	out := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		for _, s := range n.Outputs() {
+			if s == nil {
+				out = append(out, "<nil>")
+				continue
+			}
+			out = append(out, fmt.Sprintf("V=%v E=%v", s.V, s.E))
+		}
+	}
+	return out
 }

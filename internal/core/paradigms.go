@@ -78,12 +78,12 @@ func WriteMPIProfile(w io.Writer, rows []MPIProfileRow) {
 // CriticalPathParadigm builds and runs the critical-path PerFlowGraph on a
 // parallel-view PAG, reporting the heaviest dependence chain. It returns
 // the path set plus the run's execution trace.
-func CriticalPathParadigm(ctx context.Context, parallel *pag.PAG, w io.Writer, opts ...RunOption) (*Set, *ExecutionTrace, error) {
+func CriticalPathParadigm(ctx context.Context, parallel *pag.PAG, w io.Writer) (*Set, *ExecutionTrace, error) {
 	g := NewPerFlowGraph()
 	src := g.AddSource("pag", AllVertices(parallel))
 	cp := g.Chain(src, CriticalPathPass())
 	g.Chain(cp, ReportPass(w, "critical path", []string{"name", "rank", "etime", "wait", "debug"}, 30))
-	res, err := g.RunCtx(ctx, opts...)
+	res, err := g.RunCtx(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,7 +112,7 @@ type ScalabilityResult struct {
 // analysis between a small-scale and a large-scale run, hotspot detection
 // on the scaling loss, imbalance analysis, union, and a backtracking pass
 // over the parallel view of the large run.
-func ScalabilityAnalysis(ctx context.Context, small, large, parallelLarge *pag.PAG, topN int, w io.Writer, opts ...RunOption) (*ScalabilityResult, error) {
+func ScalabilityAnalysis(ctx context.Context, small, large, parallelLarge *pag.PAG, topN int, w io.Writer) (*ScalabilityResult, error) {
 	if topN <= 0 {
 		topN = 10
 	}
@@ -152,7 +152,7 @@ func ScalabilityAnalysis(ctx context.Context, small, large, parallelLarge *pag.P
 			[]string{"name", "rank", "time", "wait", "debug"}, 40))
 	}
 
-	run, err := g.RunCtx(ctx, opts...)
+	run, err := g.RunCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func pathSources(s *Set) *Set {
 // communication vertices, detect hotspots, analyze imbalance, break the
 // imbalanced calls down, and report. The returned trace carries the per-pass
 // instrumentation of the run.
-func CommunicationAnalysis(ctx context.Context, env *pag.PAG, topN int, w io.Writer, opts ...RunOption) (imbalanced, breakdown *Set, trace *ExecutionTrace, err error) {
+func CommunicationAnalysis(ctx context.Context, env *pag.PAG, topN int, w io.Writer) (imbalanced, breakdown *Set, trace *ExecutionTrace, err error) {
 	if topN <= 0 {
 		topN = 10
 	}
@@ -223,7 +223,7 @@ func CommunicationAnalysis(ctx context.Context, env *pag.PAG, topN int, w io.Wri
 		g.Connect(imb, 0, rep, 0)
 		g.Connect(bd, 0, rep, 1)
 	}
-	run, err := g.RunCtx(ctx, opts...)
+	run, err := g.RunCtx(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -252,7 +252,7 @@ type ContentionResult struct {
 // analysis, and contention detection via subgraph matching on the parallel
 // view of the high-thread run. The four branches are independent, so the
 // concurrent scheduler runs them in parallel.
-func ContentionAnalysis(ctx context.Context, low, high, parallelHigh *pag.PAG, topN int, w io.Writer, opts ...RunOption) (*ContentionResult, error) {
+func ContentionAnalysis(ctx context.Context, low, high, parallelHigh *pag.PAG, topN int, w io.Writer) (*ContentionResult, error) {
 	if topN <= 0 {
 		topN = 10
 	}
@@ -278,7 +278,7 @@ func ContentionAnalysis(ctx context.Context, low, high, parallelHigh *pag.PAG, t
 		g.Chain(cont, ReportPass(w, "contention analysis (Figure 14)",
 			[]string{"name", "label", "rank", "wait"}, 16))
 	}
-	run, err := g.RunCtx(ctx, opts...)
+	run, err := g.RunCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -31,20 +31,13 @@ func Hotspot(v *Set, metric string, n int) *Set {
 
 // HotspotPass wraps Hotspot as a dataflow pass.
 func HotspotPass(metric string, n int) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "hotspot_detection",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Hotspot(in[0], metric, n)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Reads:     []string{metric},
-		Scan: func(in *Set) ScanKernel {
-			return &hotspotKernel{in: in, metric: metric, n: n}
-		},
-	})
+	}
 }
 
 // ---- B: performance differential analysis (Listing 4 / Figure 7) ----
@@ -74,20 +67,13 @@ func Differential(v1, v2 *Set, metric string, normalize bool) *Set {
 
 // DifferentialPass wraps Differential; it takes two input sets.
 func DifferentialPass(metric string, normalize bool) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "differential_analysis",
 		NumIn:    2,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Differential(in[0], in[1], metric, normalize)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalNone,
-		// Graph difference folds every metric of both environments into the
-		// derived one; "*" keeps it ordered after any annotator.
-		Reads:  []string{"*"},
-		NewEnv: true,
-	})
+	}
 }
 
 // ---- imbalance analysis ----
@@ -132,21 +118,13 @@ func Imbalance(v *Set, metric string, threshold float64) *Set {
 
 // ImbalancePass wraps Imbalance.
 func ImbalancePass(metric string, threshold float64) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "imbalance_analysis",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Imbalance(in[0], metric, threshold)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Reads:     []string{metric + "_vec"},
-		Writes:    []string{MetricImbalance},
-		Scan: func(in *Set) ScanKernel {
-			return &imbalanceKernel{in: in, vecKey: metric + "_vec", threshold: threshold, out: NewSet(in.PAG)}
-		},
-	})
+	}
 }
 
 // ---- breakdown analysis ----
@@ -180,21 +158,13 @@ func Breakdown(v *Set) *Set {
 
 // BreakdownPass wraps Breakdown.
 func BreakdownPass() Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "breakdown_analysis",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Breakdown(in[0])}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Reads:     []string{pag.MetricExclTime, pag.MetricWait},
-		Writes:    []string{"transfer", "breakdown"},
-		Scan: func(in *Set) ScanKernel {
-			return &breakdownKernel{in: in}
-		},
-	})
+	}
 }
 
 // ---- C: causal analysis (Listing 5) ----
@@ -206,7 +176,7 @@ func BreakdownPass() Pass {
 // ancestor of two delayed vertices is the vertex whose influence reaches
 // both — the root cause candidate.
 func Causal(v *Set) *Set {
-	finder, origE, mu := materialsFor(v.PAG.G).lcaFinder()
+	finder, origE, mu := v.PAG.G.Frozen().LCA()
 	mu.Lock()
 	defer mu.Unlock()
 	out := NewSet(v.PAG)
@@ -243,16 +213,13 @@ func Causal(v *Set) *Set {
 
 // CausalPass wraps Causal.
 func CausalPass() Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "causal_analysis",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Causal(in[0])}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalLCA,
-	})
+	}
 }
 
 // ---- D: contention detection (Listing 6) ----
@@ -283,16 +250,13 @@ func Contention(v *Set) *Set {
 
 // ContentionPass wraps Contention.
 func ContentionPass() Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "contention_detection",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Contention(in[0])}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalMatch,
-	})
+	}
 }
 
 // ---- critical path ----
@@ -302,7 +266,7 @@ func ContentionPass() Pass {
 // core. It returns the path vertices and edges in order.
 func CriticalPath(v *Set) *Set {
 	out := NewSet(v.PAG)
-	g, origE := dagOf(v.PAG.G)
+	g, origE := v.PAG.G.Frozen().DAG()
 	vs, es, _ := g.Frozen().CriticalPath(
 		func(x *graph.Vertex) float64 { return x.Metric(pag.MetricExclTime) },
 		func(e *graph.Edge) float64 { return e.Metric(pag.MetricWait) },
@@ -316,29 +280,15 @@ func CriticalPath(v *Set) *Set {
 	return out
 }
 
-// dagOf returns g itself when acyclic, or its DAG skeleton plus the
-// edge-ID translation back to g. Rare aggregation artifacts (alternating
-// lock waits, shifting collective stragglers) can close cycles in the
-// parallel view; the DAG algorithms run on the skeleton. The skeleton is
-// served from the (graph, version) materialization cache, so back-to-back
-// passes over one environment share a single copy.
-func dagOf(g *graph.Graph) (*graph.Graph, []graph.EdgeID) {
-	return materialsFor(g).dagSkeleton()
-}
-
 // CriticalPathPass wraps CriticalPath.
 func CriticalPathPass() Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "critical_path",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{CriticalPath(in[0])}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalTopo,
-		Reads:     []string{pag.MetricExclTime, pag.MetricWait},
-	})
+	}
 }
 
 // ---- backtracking (the user-defined pass of Listing 7, shipped for the
@@ -416,61 +366,41 @@ func pickBackEdge(g *graph.Graph, v graph.VertexID, seenE map[graph.EdgeID]bool)
 
 // BacktrackPass wraps Backtrack.
 func BacktrackPass(maxDepth int) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "backtracking_analysis",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Backtrack(in[0], maxDepth)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalReverseBFS,
-		Reads:     []string{pag.MetricWait},
-	})
+	}
 }
 
 // ---- filter and set-operation passes ----
 
 // FilterPass keeps vertices whose name matches the glob pattern.
 func FilterPass(pattern string) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: fmt.Sprintf("filter(%s)", pattern),
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{in[0].FilterName(pattern)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Scan: func(in *Set) ScanKernel {
-			return newFilterKernel(in, func(v *graph.Vertex) bool { return globMatch(pattern, v.Name) })
-		},
-	})
+	}
 }
 
 // FilterLabelPass keeps vertices with the given PAG label.
 func FilterLabelPass(label int) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: fmt.Sprintf("filter(label=%s)", pag.VertexLabelName(label)),
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{in[0].FilterLabel(label)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Scan: func(in *Set) ScanKernel {
-			return newFilterKernel(in, func(v *graph.Vertex) bool { return v.Label == label })
-		},
-	})
+	}
 }
 
 // UnionPass merges any number of input sets.
 func UnionPass() Pass {
-	return Describe(unionPassFunc(), PassInfo{Pure: true, Traversal: TraversalNone})
-}
-
-func unionPassFunc() Pass {
 	return PassFunc{
 		PassName: "union",
 		NumIn:    -1,
@@ -493,10 +423,6 @@ func unionPassFunc() Pass {
 
 // IntersectPass intersects any number of input sets.
 func IntersectPass() Pass {
-	return Describe(intersectPassFunc(), PassInfo{Pure: true, Traversal: TraversalNone})
-}
-
-func intersectPassFunc() Pass {
 	return PassFunc{
 		PassName: "intersect",
 		NumIn:    -1,
@@ -523,17 +449,13 @@ func intersectPassFunc() Pass {
 // no counterpart (synthetic or never executed) are dropped. For parallel
 // targets every rank's flow vertex of the node is included.
 func ProjectPass(target *pag.PAG) Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "project",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{Project(in[0], target)}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalNone,
-		Env:       target,
-	})
+	}
 }
 
 // Project implements ProjectPass (see there).

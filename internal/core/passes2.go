@@ -95,7 +95,7 @@ func CommonDominators(v *Set, root graph.VertexID) *Set {
 	if len(v.V) == 0 || !v.PAG.G.HasVertex(root) {
 		return out
 	}
-	g, _ := dagOf(v.PAG.G)
+	g, _ := v.PAG.G.Frozen().DAG()
 	idom := g.Dominators(root)
 	// Walk the first victim's dominator chain; keep entries dominating all.
 	chain := domChain(idom, v.V[0])
@@ -205,21 +205,13 @@ func isCollectiveName(name string) bool {
 
 // WaitStatePass wraps WaitStates.
 func WaitStatePass() Pass {
-	return Describe(PassFunc{
+	return PassFunc{
 		PassName: "waitstate_classification",
 		NumIn:    1,
 		Fn: func(in []*Set) ([]*Set, error) {
 			return []*Set{WaitStates(in[0])}, nil
 		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Reads:     []string{pag.MetricWait, pag.AttrKind},
-		Writes:    []string{AttrWaitState},
-		Scan: func(in *Set) ScanKernel {
-			return &waitstateKernel{in: in, out: NewSet(in.PAG)}
-		},
-	})
+	}
 }
 
 // ScalingClass describes how a vertex's cost evolves across scales.

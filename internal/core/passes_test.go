@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"perflow/internal/collector"
 	"perflow/internal/graph"
@@ -338,5 +340,38 @@ func TestSummarizeByName(t *testing.T) {
 	rows := SummarizeByName(AllVertices(env), "time")
 	if len(rows) != 2 || rows[0].Name != "MPI_Send" || rows[0].Total != 12 {
 		t.Errorf("summary = %+v", rows)
+	}
+}
+
+// TestAnalyzedPAGIsCollected pins that the DAG passes keep no process-wide
+// reference to the PAGs they analyse: the DAG copy and LCA finder they
+// build are cached on the graph's frozen snapshot, so once the caller
+// drops the PAG, the whole graph is garbage. The finalizer sits on the
+// graph's vertex storage, which only the graph references: the Graph
+// struct itself shares a reference cycle with its cached snapshot, and Go
+// never finalizes an object in a cycle.
+func TestAnalyzedPAGIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		par := collect(t, analysisProgram(t), 4).Parallel
+		runtime.SetFinalizer(par.G.Vertex(0), func(*graph.Vertex) { close(collected) })
+		g := NewPerFlowGraph()
+		src := g.AddSource("pag", AllVertices(par))
+		g.Chain(src, CriticalPathPass())
+		g.Chain(src, HotspotPass(pag.MetricWait, 8), CausalPass())
+		if _, err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("the analysed PAG's graph is still reachable after its run")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

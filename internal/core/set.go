@@ -156,12 +156,11 @@ func (s *Set) SortByAbs(metric string) *Set {
 	return c
 }
 
-// Top returns the first n vertices of the set (use after SortBy).
+// Top returns the first n vertices of the set (use after SortBy); a
+// negative n keeps none.
 func (s *Set) Top(n int) *Set {
 	c := s.Clone()
-	if n < len(c.V) {
-		c.V = c.V[:n]
-	}
+	c.V = c.V[:max(0, min(n, len(c.V)))]
 	return c
 }
 

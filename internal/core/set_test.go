@@ -94,6 +94,9 @@ func TestSortByAndTop(t *testing.T) {
 	if s.Top(99).Len() != 3 {
 		t.Error("Top beyond size should keep all")
 	}
+	if s.Top(-1).Len() != 0 || Hotspot(s, "time", -5).Len() != 0 {
+		t.Error("a negative count should keep nothing")
+	}
 }
 
 func TestSortByAbs(t *testing.T) {

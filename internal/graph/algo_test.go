@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -657,10 +659,34 @@ func TestSerializeBadInput(t *testing.T) {
 	}
 }
 
+// Property: SerializedSize equals WriteTo's byte count on random graphs
+// carrying metrics, vectors and attributes with repeated and empty strings.
 func TestSerializedSize(t *testing.T) {
-	g := chainGraph(5)
-	if g.SerializedSize() <= 0 {
-		t.Error("SerializedSize should be positive")
+	words := []string{"", "time", "wait", "MPI_Send", "v", "main.c:12"}
+	f := func(seed int64) bool {
+		g := randomDAG(12, 0.3, seed)
+		rng := rand.New(rand.NewSource(seed))
+		word := func() string { return words[rng.Intn(len(words))] }
+		for i := 0; i < g.NumVertices(); i++ {
+			v := g.Vertex(VertexID(i))
+			for j := rng.Intn(4); j > 0; j-- {
+				v.SetMetric(word(), rng.Float64())
+				v.SetVec(word(), make([]float64, rng.Intn(5)))
+				v.SetAttr(word(), word())
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			e := g.Edge(EdgeID(i))
+			for j := rng.Intn(3); j > 0; j-- {
+				e.SetMetric(word(), rng.Float64())
+				e.SetAttr(word(), word())
+			}
+		}
+		n, err := g.WriteTo(io.Discard)
+		return err == nil && n > 0 && g.SerializedSize() == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 

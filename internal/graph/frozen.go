@@ -38,6 +38,16 @@ type Frozen struct {
 	topoOnce  sync.Once
 	topoOrder []VertexID
 	topoOK    bool
+
+	// Structure-derived artifacts of the DAG algorithms (see DAG and LCA),
+	// built at most once per snapshot and dropped with it.
+	dagOnce sync.Once
+	dag     *Graph
+	dagEdge []EdgeID
+
+	lcaOnce sync.Once
+	lca     *LCAFinder
+	lcaMu   sync.Mutex
 }
 
 // frozenScratch bundles the per-traversal working memory recycled across
@@ -293,6 +303,38 @@ func (f *Frozen) TopoSort() (order []VertexID, ok bool) {
 func (f *Frozen) Acyclic() bool {
 	_, ok := f.TopoSort()
 	return ok
+}
+
+// DAG returns the snapshot's graph itself when acyclic, or its DAGCopy
+// plus the edge-ID translation back to the graph. Rare aggregation
+// artifacts (alternating lock waits, shifting collective stragglers) can
+// close cycles in a parallel view; the DAG algorithms run on the copy. The
+// copy is built once per snapshot, so passes over one unmutated
+// environment share it.
+func (f *Frozen) DAG() (*Graph, []EdgeID) {
+	f.check()
+	f.dagOnce.Do(func() {
+		if f.Acyclic() {
+			f.dag = f.g
+			return
+		}
+		// The copy aliases the original's metric/attribute maps; pin that
+		// aliasing first so annotations applied to the original afterwards
+		// remain visible through the copy.
+		f.g.ensureSharedMaps()
+		f.dag, f.dagEdge = DAGCopy(f.g)
+	})
+	return f.dag, f.dagEdge
+}
+
+// LCA returns the snapshot's LCA finder over DAG(), the edge-ID
+// translation back to the graph, and the mutex callers must hold across
+// their queries: a finder caches ancestor bitsets and reuses query
+// scratch, so it is not safe for concurrent queries.
+func (f *Frozen) LCA() (*LCAFinder, []EdgeID, *sync.Mutex) {
+	dag, dagEdge := f.DAG()
+	f.lcaOnce.Do(func() { f.lca = NewLCAFinder(dag) })
+	return f.lca, dagEdge, &f.lcaMu
 }
 
 // Depths returns, for every vertex, the length of the longest path from any

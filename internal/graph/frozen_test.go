@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -339,6 +340,61 @@ func TestFrozenInvalidation(t *testing.T) {
 		}()
 		f2.OutNeighbors(0)
 	}()
+}
+
+// TestFrozenDAGCachedPerSnapshot pins the lifetime of the DAG and LCA
+// artifacts: the graph itself when acyclic, a back-edge-free copy whose
+// edges translate to the original when cyclic, built once per snapshot
+// and rebuilt after a structural mutation.
+func TestFrozenDAGCachedPerSnapshot(t *testing.T) {
+	g := New(4, 4)
+	g.AddVertex("a", 0)
+	g.AddVertex("b", 0)
+	g.AddVertex("c", 0)
+	g.AddEdge(0, 1, 0)
+	g.AddEdge(1, 2, 0)
+	if dag, orig := g.Frozen().DAG(); dag != g || orig != nil {
+		t.Fatal("an acyclic graph must be its own DAG")
+	}
+
+	g.AddEdge(2, 1, 0) // closes the cycle b -> c -> b
+	f := g.Frozen()
+	// Concurrent passes over one PAG build the artifacts on first use.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lca, _, mu := f.LCA()
+			mu.Lock()
+			defer mu.Unlock()
+			if v, _, _ := lca.Query(1, 2); v != 1 {
+				t.Errorf("LCA(b, c) = %d, want b", v)
+			}
+		}()
+	}
+	wg.Wait()
+	dag, orig := f.DAG()
+	if dag == g || !dag.Frozen().Acyclic() || dag.NumEdges() != 2 {
+		t.Fatalf("cyclic graph: DAG has %d edges, want an acyclic 2-edge copy", dag.NumEdges())
+	}
+	for i, e := range orig {
+		if d, o := dag.Edge(EdgeID(i)), g.Edge(e); d.Src != o.Src || d.Dst != o.Dst {
+			t.Errorf("copy edge %d translates to %d: %d->%d vs %d->%d", i, e, d.Src, d.Dst, o.Src, o.Dst)
+		}
+	}
+	if again, _ := f.DAG(); again != dag {
+		t.Error("DAG rebuilt within one snapshot")
+	}
+	lca, _, _ := f.LCA()
+	if again, _, _ := f.LCA(); again != lca || !lca.Valid() {
+		t.Error("LCA finder must be valid and built once per snapshot")
+	}
+
+	g.AddVertex("d", 0)
+	if fresh, _ := g.Frozen().DAG(); fresh == dag {
+		t.Error("DAG survived a structural mutation")
+	}
 }
 
 func TestFindVertexByNameRouting(t *testing.T) {

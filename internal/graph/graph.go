@@ -217,19 +217,13 @@ func (g *Graph) AddEdge(src, dst VertexID, label int) EdgeID {
 	return id
 }
 
-// Version returns the structural mutation counter: it changes on every
-// AddVertex/AddEdge and is stable across metric and attribute updates.
-// Callers use it to key caches of structure-derived artifacts (frozen
-// views, DAG skeletons, ancestor sets) by (graph, version).
-func (g *Graph) Version() uint64 { return g.version }
-
-// EnsureSharedMaps force-allocates the metric and attribute maps of every
+// ensureSharedMaps force-allocates the metric and attribute maps of every
 // vertex and edge. An empty map is observationally identical to a nil one,
 // but the distinction matters to anything that aliases these maps (DAGCopy
 // shares them with the original): a nil map at copy time would be replaced
 // by a fresh allocation on the next SetMetric, silently detaching the copy.
-// After EnsureSharedMaps, aliasing is permanent.
-func (g *Graph) EnsureSharedMaps() {
+// After ensureSharedMaps, aliasing is permanent.
+func (g *Graph) ensureSharedMaps() {
 	for i := range g.vertices {
 		v := &g.vertices[i]
 		if v.Metrics == nil {

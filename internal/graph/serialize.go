@@ -217,13 +217,53 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// SerializedSize returns the number of bytes WriteTo would produce.
+// SerializedSize returns the number of bytes WriteTo would produce. The
+// encoding's size depends on how many fields it has and how long the
+// distinct strings are, never on their order, so it is computed in O(V+E)
+// without sorting keys or encoding anything.
 func (g *Graph) SerializedSize() int64 {
-	n, err := g.WriteTo(io.Discard)
-	if err != nil {
-		return 0
+	seen := map[string]struct{}{}
+	var strs int64 // string table entries: 4-byte length plus the bytes
+	intern := func(s string) {
+		if _, ok := seen[s]; !ok {
+			seen[s] = struct{}{}
+			strs += 4 + int64(len(s))
+		}
 	}
-	return n
+	// Header: magic, version, string count, vertex count, edge count.
+	n := int64(5 * 4)
+	for i := range g.vertices {
+		v := &g.vertices[i]
+		intern(v.Name)
+		n += 5 * 4 // name, label and three field counts
+		for k := range v.Metrics {
+			intern(k)
+			n += 4 + 8
+		}
+		for k, vec := range v.VecMetrics {
+			intern(k)
+			n += 4 + 4 + 8*int64(len(vec))
+		}
+		for k, val := range v.Attrs {
+			intern(k)
+			intern(val)
+			n += 4 + 4
+		}
+	}
+	for i := range g.edges {
+		e := &g.edges[i]
+		n += 5 * 4 // source, destination, label and two field counts
+		for k := range e.Metrics {
+			intern(k)
+			n += 4 + 8
+		}
+		for k, val := range e.Attrs {
+			intern(k)
+			intern(val)
+			n += 4 + 4
+		}
+	}
+	return n + strs
 }
 
 type countWriter struct {

@@ -1,6 +1,7 @@
 package pag
 
 import (
+	"io"
 	"testing"
 
 	"perflow/internal/graph"
@@ -209,13 +210,31 @@ func TestEmbedRunMetrics(t *testing.T) {
 	}
 }
 
+// TestSerializedSizePositive pins the Table-1 storage figure: positive, and
+// exactly WriteTo's byte count for both views of the test program and of
+// every workload.
 func TestSerializedSizePositive(t *testing.T) {
-	p := testProgram(t)
-	pg := BuildTopDown(p)
-	run := testRun(t, p, 2)
-	pg.EmbedRun(run, PMUModel{})
-	if pg.SerializedSize() <= 0 {
-		t.Error("serialized size should be positive")
+	progs := map[string]*ir.Program{"test": testProgram(t)}
+	for _, name := range workloads.Names() {
+		p, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[name] = p
+	}
+	for name, p := range progs {
+		run := testRun(t, p, 4)
+		td := BuildTopDown(p)
+		td.EmbedRun(run, PMUModel{})
+		for _, pg := range []*PAG{td, BuildParallel(run)} {
+			n, err := pg.G.WriteTo(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pg.SerializedSize(); got <= 0 || got != n {
+				t.Errorf("%s: SerializedSize = %d, WriteTo wrote %d", name, got, n)
+			}
+		}
 	}
 }
 

@@ -224,6 +224,17 @@ func TestCacheHitOnResubmit(t *testing.T) {
 		t.Errorf("content address changed: %s vs %s", first.Key, second.Key)
 	}
 
+	// A client still sending the deprecated, ignored no_plan field is
+	// accepted and answered from the same content address.
+	noPlan := json.RawMessage(`{"workload":"ep","analysis":"hotspot","ranks":4,"top":5,"no_plan":true}`)
+	resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", noPlan)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("no_plan resubmit: want 200, got %d: %s", resp.StatusCode, data)
+	}
+	if third := decodeView(t, data); third.Key != first.Key || !third.Cached {
+		t.Errorf("no_plan resubmit: key %s cached %v, want key %s from cache", third.Key, third.Cached, first.Key)
+	}
+
 	// A formatting-only DSL variant hits the same cache line logic via Key
 	// equality (covered in TestRequestKey); here assert the hit counters.
 	m := metricsSnapshot(t, ts)

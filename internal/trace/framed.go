@@ -12,8 +12,8 @@ import (
 	"perflow/internal/ir"
 )
 
-// Framed trace encoding (TRC2): the same fixed-size event records as the
-// TRC1 format, but each rank's stream is written as an independent frame
+// Framed trace encoding (TRC2): fixed-size event records (eventWireSize
+// bytes each), with each rank's stream written as an independent frame
 // carrying its own CRC32. Corruption or truncation therefore damages at
 // most the frames it touches, and Salvage can recover the valid event
 // prefix of a damaged frame plus every intact frame after it — which is
@@ -29,6 +29,11 @@ import (
 const (
 	framedMagic   = 0x54524332 // "TRC2"
 	framedVersion = 1
+	// maxDecodeRanks bounds the rank space Salvage accepts; it also bounds
+	// the stream count (one stream per rank) and every event's Rank field,
+	// so hostile headers cannot drive huge allocations or out-of-range
+	// indexing.
+	maxDecodeRanks = 1 << 20
 )
 
 // Salvage condition strings, stable for tests and reports.
@@ -140,8 +145,8 @@ type StreamSalvage struct {
 type SalvageReport struct {
 	HeaderOK  bool
 	HeaderErr string
-	// Complete is true when nothing was damaged: the run equals what
-	// Decode of an uncorrupted input would produce.
+	// Complete is true when nothing was damaged: the run equals the one
+	// that was encoded.
 	Complete bool
 	Streams  []StreamSalvage
 	// MissingStreams counts declared streams with no bytes at all.

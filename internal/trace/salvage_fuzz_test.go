@@ -5,7 +5,29 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"perflow/internal/ir"
 )
+
+// fuzzSampleRun builds a small two-rank run whose encoding seeds the
+// corpus: every fuzz mutation starts from at least one well-formed trace.
+func fuzzSampleRun() *Run {
+	return &Run{
+		NRanks: 2,
+		Events: [][]Event{
+			{
+				{Rank: 0, Thread: -1, Kind: KindCompute, Node: 1, Ctx: 0, Start: 0, End: 10},
+				{Rank: 0, Thread: -1, Kind: KindComm, Op: ir.CommSend, Node: 2, Ctx: 1,
+					Start: 10, End: 14, Wait: 1, Peer: 1, Bytes: 4096, Count: 1},
+			},
+			{
+				{Rank: 1, Thread: -1, Kind: KindComm, Op: ir.CommRecv, Node: 3, Ctx: 2,
+					Start: 0, End: 14, Wait: 9, Peer: 0, Bytes: 4096, Count: 1},
+			},
+		},
+		Elapsed: []float64{14, 14},
+	}
+}
 
 // mutateFramed returns the framed sample encoding with 4 bytes
 // overwritten at off.
@@ -23,8 +45,10 @@ func mutateFramed(tb testing.TB, off int, val uint32) []byte {
 // FuzzSalvage asserts the salvage decoder's contract on arbitrary bytes:
 // it never panics, never returns nil, never over-allocates from hostile
 // counts, and an input it reports Complete round-trips through
-// EncodeFramed ∘ Salvage unchanged. Interesting crashers found while
-// developing it are checked in under testdata/fuzz/FuzzSalvage.
+// EncodeFramed ∘ Salvage unchanged. Interesting crashers are checked in
+// under testdata/fuzz/FuzzSalvage, among them a huge event rank (a
+// multi-GiB Elapsed allocation) and a huge stream count with no payload
+// behind it.
 func FuzzSalvage(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := fuzzSampleRun().EncodeFramed(&buf); err != nil {
@@ -42,6 +66,8 @@ func FuzzSalvage(f *testing.F) {
 	f.Add(mutateFramed(f, 20, 0xffffffff))              // first event rank = -1
 	f.Add(mutateFramed(f, 16+4+20, 0xdeadbeef))         // payload flip -> CRC mismatch
 	f.Add(mutateFramed(f, len(valid)-4, 0))             // last CRC flipped
+	f.Add(mutateFramed(f, 20, 1<<30))                   // first event rank huge
+	f.Add(mutateFramed(f, 8, 1<<19)[:16])               // huge stream count, no payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		run, rep := Salvage(bytes.NewReader(data))

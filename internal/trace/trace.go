@@ -263,6 +263,20 @@ func (r *Run) NumEvents() int {
 	return n
 }
 
+// eventWireSize is the fixed per-event record of the trace encoding:
+// rank(4) thread(4) kind(1) op(1) node(4) ctx(4) start(8) end(8) wait(8)
+// peer(4) bytes(8) count(4).
+const eventWireSize = 58
+
+// EncodedSize returns the run's trace-storage cost in bytes, the figure the
+// Table-1 tracing comparison reports (the paper's §5.3: 57.64 GB of traces
+// against 2.4 MB of PAG): a 16-byte header, a 4-byte event count per rank
+// stream, and eventWireSize bytes per event. It is the framed encoding's
+// size without the 4-byte CRC each stream's frame adds.
+func (r *Run) EncodedSize() int64 {
+	return int64(16) + int64(r.NumEvents())*eventWireSize + int64(len(r.Events))*4
+}
+
 // ForEach calls fn for every event of every rank.
 func (r *Run) ForEach(fn func(*Event)) {
 	for ri := range r.Events {

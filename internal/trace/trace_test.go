@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -142,48 +141,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(42).String() == "" {
 		t.Error("unknown kind should render")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	r := sampleRun()
-	var buf bytes.Buffer
-	n, err := r.Encode(&buf)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("Encode reported %d, wrote %d", n, buf.Len())
-	}
-	if n != r.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", r.EncodedSize(), n)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.NRanks != 2 || got.NumEvents() != 4 {
-		t.Fatalf("decoded shape wrong: %d ranks %d events", got.NRanks, got.NumEvents())
-	}
-	for ri := range r.Events {
-		for i := range r.Events[ri] {
-			a, b := r.Events[ri][i], got.Events[ri][i]
-			if a != b {
-				t.Errorf("event [%d][%d] mismatch: %+v vs %+v", ri, i, a, b)
-			}
-		}
-	}
-	if got.TotalTime() != 15 {
-		t.Errorf("decoded TotalTime = %v", got.TotalTime())
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Error("short input should error")
-	}
-	bad := make([]byte, 16)
-	if _, err := Decode(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic should error")
 	}
 }

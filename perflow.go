@@ -134,14 +134,6 @@ func WithContinueOnFailure() RunOption { return core.WithContinueOnFailure() }
 // WithPassTimeout bounds each pass of a PerFlowGraph run.
 func WithPassTimeout(d time.Duration) RunOption { return core.WithPassTimeout(d) }
 
-// WithPlanning toggles the pass-plan compiler for one PerFlowGraph run
-// (default on): the whole graph is compiled into an execution plan before
-// any pass runs — sibling scans fuse into one traversal, pure chains
-// collapse into one stage, shared structure artifacts are hoisted — with
-// byte-identical results either way. WithPlanning(false) forces the classic
-// per-node scheduler (the pflow -noplan flag).
-func WithPlanning(on bool) RunOption { return core.WithPlanning(on) }
-
 // WriteTrace renders an execution trace as an aligned text table; a nil
 // trace writes a short notice instead.
 func WriteTrace(w io.Writer, t *ExecutionTrace) error { return core.WriteTrace(w, t) }
@@ -195,19 +187,12 @@ type PerFlow struct {
 	// recent paradigm run (nil before the first one). Render it with
 	// WriteTrace — the cmd/pflow -trace flag does.
 	LastTrace *ExecutionTrace
-	// NoPlan disables the pass-plan compiler for the handle's paradigm runs,
-	// forcing the classic per-node scheduler (the pflow -noplan flag).
-	// Results are byte-identical either way.
+	// NoPlan is ignored.
+	//
+	// Deprecated: the engine runs one per-node scheduler, so there is no
+	// plan compiler to disable. The field remains only for source
+	// compatibility and will be removed.
 	NoPlan bool
-}
-
-// runOpts translates the handle's settings into engine options for a
-// paradigm run.
-func (pf *PerFlow) runOpts() []RunOption {
-	if pf.NoPlan {
-		return []RunOption{core.WithPlanning(false)}
-	}
-	return nil
 }
 
 // New returns a PerFlow handle writing reports to os.Stdout.
@@ -469,7 +454,7 @@ func (pf *PerFlow) CriticalPathParadigmCtx(ctx context.Context, res *Result, w i
 	if res.Parallel == nil {
 		return nil, fmt.Errorf("perflow: critical path needs the parallel view")
 	}
-	cp, trace, err := core.CriticalPathParadigm(ctx, res.Parallel, w, pf.runOpts()...)
+	cp, trace, err := core.CriticalPathParadigm(ctx, res.Parallel, w)
 	pf.LastTrace = trace
 	return cp, err
 }
@@ -486,7 +471,7 @@ func (pf *PerFlow) ScalabilityAnalysisParadigmCtx(ctx context.Context, small, la
 	if large.Parallel == nil {
 		return nil, fmt.Errorf("perflow: scalability analysis needs the large run's parallel view")
 	}
-	res, err := core.ScalabilityAnalysis(ctx, small.TopDown, large.TopDown, large.Parallel, 10, w, pf.runOpts()...)
+	res, err := core.ScalabilityAnalysis(ctx, small.TopDown, large.TopDown, large.Parallel, 10, w)
 	if res != nil {
 		pf.LastTrace = res.Trace
 	}
@@ -501,7 +486,7 @@ func (pf *PerFlow) CommunicationAnalysisParadigm(res *Result, w io.Writer) (imba
 // CommunicationAnalysisParadigmCtx is CommunicationAnalysisParadigm under a
 // caller-supplied context.
 func (pf *PerFlow) CommunicationAnalysisParadigmCtx(ctx context.Context, res *Result, w io.Writer) (imbalanced, breakdown *Set, err error) {
-	imbalanced, breakdown, trace, err := core.CommunicationAnalysis(ctx, res.TopDown, 10, w, pf.runOpts()...)
+	imbalanced, breakdown, trace, err := core.CommunicationAnalysis(ctx, res.TopDown, 10, w)
 	pf.LastTrace = trace
 	return imbalanced, breakdown, err
 }

@@ -1,9 +1,9 @@
 package perflow_test
 
-// Plan-equivalence matrix: the pass-plan compiler must never change
-// results. Every engine-backed analysis over the workload corpus renders a
-// byte-identical report with planning on and off, across PAG-construction
-// worker counts — the oracle behind the pflow -noplan escape hatch.
+// Scheduling-equivalence matrix: how an analysis is scheduled must never
+// change its results. Every engine-backed analysis over the workload corpus
+// renders a byte-identical report at every PAG-construction worker count
+// (-j), with passes running concurrently on the engine's worker pool.
 
 import (
 	"bytes"
@@ -50,14 +50,11 @@ func TestPlanEquivalenceWorkloadCorpus(t *testing.T) {
 				}
 				base := planReport(t, req)
 				for _, par := range []int{1, 8} {
-					for _, noplan := range []bool{false, true} {
-						r := req
-						r.Parallelism = par
-						r.NoPlan = noplan
-						if got := planReport(t, r); !bytes.Equal(base, got) {
-							t.Fatalf("report differs (noplan=%v, -j %d)\n--- base ---\n%s\n--- got ---\n%s",
-								noplan, par, base, got)
-						}
+					r := req
+					r.Parallelism = par
+					if got := planReport(t, r); !bytes.Equal(base, got) {
+						t.Fatalf("report differs (-j %d)\n--- base ---\n%s\n--- got ---\n%s",
+							par, base, got)
 					}
 				}
 			})
@@ -65,15 +62,16 @@ func TestPlanEquivalenceWorkloadCorpus(t *testing.T) {
 	}
 }
 
-// TestPlanNeutralCacheKey pins the contract that NoPlan, like Parallelism,
-// is result-neutral and therefore excluded from the request cache key: a
-// served job answered from cache must hit regardless of either setting.
+// TestPlanNeutralCacheKey pins the wire contract that the deprecated,
+// ignored NoPlan field and the result-neutral Parallelism stay out of the
+// request cache key: a served job answered from cache must hit regardless
+// of either setting.
 func TestPlanNeutralCacheKey(t *testing.T) {
 	req := perflow.AnalysisRequest{Workload: "cg", Analysis: "comm", Ranks: 8}
 	base := req.CacheKey()
 	req.NoPlan = true
 	if req.CacheKey() != base {
-		t.Error("NoPlan changed the cache key; planned and unplanned runs are byte-identical")
+		t.Error("NoPlan changed the cache key; the field is ignored")
 	}
 	req.Parallelism = 7
 	if req.CacheKey() != base {

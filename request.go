@@ -41,17 +41,18 @@ type AnalysisRequest struct {
 	// (the CLI's -j). It does not change results, so it is excluded from
 	// the cache key.
 	Parallelism int `json:"parallelism,omitempty"`
-	// NoPlan disables the pass-plan compiler for the request's analysis
-	// runs, forcing the classic per-node scheduler (the CLI's -noplan).
-	// Planned and unplanned runs produce byte-identical reports, so, like
-	// Parallelism, it is excluded from the cache key.
+	// NoPlan is ignored and excluded from the cache key.
+	//
+	// Deprecated: the engine runs one per-node scheduler, so there is no
+	// plan compiler to disable. The field remains so that clients sending
+	// "no_plan" are still accepted; it will be removed.
 	NoPlan bool `json:"no_plan,omitempty"`
 	// Predict appends a "-- static prediction --" section to the report:
 	// the symbolic dataflow engine's statically derived communication
 	// matrix and cost model, cross-checked against the collected run with
 	// divergences flagged. The prediction is a pure function of fields
 	// already in the cache key (program, ranks, faults), so, like
-	// Parallelism and NoPlan, Predict itself is excluded from the key;
+	// Parallelism, Predict itself is excluded from the key;
 	// the serve layer delivers the section through a dedicated result
 	// field instead of the cached report text (see serve.JobResult).
 	Predict bool `json:"predict,omitempty"`
@@ -232,7 +233,6 @@ func (pf *PerFlow) ExecuteRequest(ctx context.Context, req AnalysisRequest, w io
 	if err != nil {
 		return nil, err
 	}
-	pf.NoPlan = req.NoPlan
 	pol, err := ParsePolicyRules(req.Policies)
 	if err != nil {
 		return nil, err
