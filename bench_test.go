@@ -228,38 +228,6 @@ func BenchmarkLCAQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkFrozenTraversal compares BFS over a zeusmp parallel view on the
-// mutable adjacency lists versus the frozen CSR snapshot (pooled scratch,
-// no per-call allocation).
-func BenchmarkFrozenTraversal(b *testing.B) {
-	run, err := mpisim.Run(workloads.ZeusMP(false), mpisim.Config{NRanks: benchRanks})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := pag.BuildParallel(run).G
-	f := g.Frozen()
-	b.Run("graph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			g.BFS(0, func(graph.VertexID) bool { n++; return true })
-			if n == 0 {
-				b.Fatal("empty BFS")
-			}
-		}
-	})
-	b.Run("frozen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			f.BFS(0, func(graph.VertexID) bool { n++; return true })
-			if n == 0 {
-				b.Fatal("empty BFS")
-			}
-		}
-	})
-}
-
 // BenchmarkPassContentionMatch isolates subgraph matching on a Vite
 // parallel view (Figure 16's engine).
 func BenchmarkPassContentionMatch(b *testing.B) {

@@ -189,10 +189,6 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 		}
 	}
 	res.PAGBytes = td.SerializedSize()
-	// Pre-warm the frozen CSR snapshot: construction is complete, so the
-	// analysis passes (name lookups, traversals, matching) hit the indexes
-	// without paying the O(V+E) build inside a timed pass.
-	td.G.Frozen()
 
 	if !opts.SkipParallelView {
 		if err := ctx.Err(); err != nil {
@@ -203,7 +199,6 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 			res.Parallel.TagDataQuality(run)
 		}
 		res.PAGBytes += res.Parallel.SerializedSize()
-		res.Parallel.G.Frozen()
 	}
 	if opts.Mode == ModeTracing {
 		res.TraceBytes = run.EncodedSize()

@@ -176,9 +176,8 @@ func BreakdownPass() Pass {
 // ancestor of two delayed vertices is the vertex whose influence reaches
 // both — the root cause candidate.
 func Causal(v *Set) *Set {
-	finder, origE, mu := v.PAG.G.Frozen().LCA()
-	mu.Lock()
-	defer mu.Unlock()
+	dag, origE := graph.DAGOf(v.PAG.G)
+	finder := graph.NewLCAFinder(dag)
 	out := NewSet(v.PAG)
 	if !finder.Valid() {
 		return out
@@ -266,8 +265,8 @@ func ContentionPass() Pass {
 // core. It returns the path vertices and edges in order.
 func CriticalPath(v *Set) *Set {
 	out := NewSet(v.PAG)
-	g, origE := v.PAG.G.Frozen().DAG()
-	vs, es, _ := g.Frozen().CriticalPath(
+	g, origE := graph.DAGOf(v.PAG.G)
+	vs, es, _ := g.CriticalPath(
 		func(x *graph.Vertex) float64 { return x.Metric(pag.MetricExclTime) },
 		func(e *graph.Edge) float64 { return e.Metric(pag.MetricWait) },
 	)

@@ -95,7 +95,7 @@ func CommonDominators(v *Set, root graph.VertexID) *Set {
 	if len(v.V) == 0 || !v.PAG.G.HasVertex(root) {
 		return out
 	}
-	g, _ := v.PAG.G.Frozen().DAG()
+	g, _ := graph.DAGOf(v.PAG.G)
 	idom := g.Dominators(root)
 	// Walk the first victim's dominator chain; keep entries dominating all.
 	chain := domChain(idom, v.V[0])

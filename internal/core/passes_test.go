@@ -345,11 +345,9 @@ func TestSummarizeByName(t *testing.T) {
 
 // TestAnalyzedPAGIsCollected pins that the DAG passes keep no process-wide
 // reference to the PAGs they analyse: the DAG copy and LCA finder they
-// build are cached on the graph's frozen snapshot, so once the caller
-// drops the PAG, the whole graph is garbage. The finalizer sits on the
-// graph's vertex storage, which only the graph references: the Graph
-// struct itself shares a reference cycle with its cached snapshot, and Go
-// never finalizes an object in a cycle.
+// build live only for the call, so once the caller drops the PAG, the
+// whole graph is garbage. The finalizer sits on the graph's vertex
+// storage, which only the graph references.
 func TestAnalyzedPAGIsCollected(t *testing.T) {
 	collected := make(chan struct{})
 	func() {

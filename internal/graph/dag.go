@@ -1,5 +1,18 @@
 package graph
 
+// DAGOf returns the graph the DAG algorithms (LCA, critical path,
+// dominators) run on: g itself when it is acyclic, with a nil edge
+// translation, or else DAGCopy(g). Rare aggregation artifacts (alternating
+// lock waits, shifting collective stragglers) can close cycles in a
+// parallel view. The copy is built per call and shares g's metric and
+// attribute maps, so use it before annotating g further.
+func DAGOf(g *Graph) (*Graph, []EdgeID) {
+	if !g.HasCycle() {
+		return g, nil
+	}
+	return DAGCopy(g)
+}
+
 // DAGCopy returns an acyclic copy of g produced by dropping the back edges
 // of a deterministic depth-first search (a directed graph is cyclic iff a
 // DFS finds a back edge, so removing them always yields a DAG). Vertex IDs

@@ -160,19 +160,20 @@ func (e *Edge) SetAttr(k, val string) {
 // The zero value is an empty graph ready for use.
 //
 // Structural mutation (AddVertex, AddEdge) is not safe for concurrent use;
-// concurrent reads — including Frozen() — are.
+// concurrent reads, subgraph matching included, are.
 type Graph struct {
 	vertices []Vertex
 	edges    []Edge
 	out      [][]EdgeID // outgoing edge IDs per vertex
 	in       [][]EdgeID // incoming edge IDs per vertex
 
-	// version counts structural mutations; a Frozen snapshot is valid only
-	// while the version it captured is current.
+	// version counts structural mutations; the label index is valid only
+	// while the version it was built at is current.
 	version uint64
 
-	frozenMu sync.Mutex
-	frozen   *Frozen // cached snapshot, rebuilt lazily after mutation
+	mu        sync.Mutex // guards byLabel and byLabelAt
+	byLabel   map[int][]VertexID
+	byLabelAt uint64
 }
 
 // New returns an empty graph with capacity hints for nv vertices and ne edges.
@@ -217,35 +218,11 @@ func (g *Graph) AddEdge(src, dst VertexID, label int) EdgeID {
 	return id
 }
 
-// ensureSharedMaps force-allocates the metric and attribute maps of every
-// vertex and edge. An empty map is observationally identical to a nil one,
-// but the distinction matters to anything that aliases these maps (DAGCopy
-// shares them with the original): a nil map at copy time would be replaced
-// by a fresh allocation on the next SetMetric, silently detaching the copy.
-// After ensureSharedMaps, aliasing is permanent.
-func (g *Graph) ensureSharedMaps() {
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		if v.Metrics == nil {
-			v.Metrics = make(map[string]float64, 4)
-		}
-		if v.VecMetrics == nil {
-			v.VecMetrics = make(map[string][]float64, 2)
-		}
-		if v.Attrs == nil {
-			v.Attrs = make(map[string]string, 2)
-		}
-	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.Metrics == nil {
-			e.Metrics = make(map[string]float64, 2)
-		}
-		if e.Attrs == nil {
-			e.Attrs = make(map[string]string, 2)
-		}
-	}
-}
+// Frozen does nothing. It used to build a compressed-sparse-row snapshot
+// of g; every graph algorithm now runs on g's own adjacency lists.
+//
+// Deprecated: kept only so existing callers compile.
+func (g *Graph) Frozen() {}
 
 // HasVertex reports whether id is a valid vertex of g.
 func (g *Graph) HasVertex(id VertexID) bool {
@@ -307,13 +284,7 @@ func (g *Graph) FindEdge(src, dst VertexID) EdgeID {
 }
 
 // FindVertexByName returns the first vertex with the given name, or NoVertex.
-// When a current Frozen snapshot exists (the collector freezes PAGs after
-// construction) the lookup uses its name index in O(1); on a graph mutated
-// since the last Frozen() it falls back to the linear scan.
 func (g *Graph) FindVertexByName(name string) VertexID {
-	if f := g.currentFrozen(); f != nil {
-		return f.VertexByName(name)
-	}
 	for i := range g.vertices {
 		if g.vertices[i].Name == name {
 			return VertexID(i)
@@ -322,15 +293,21 @@ func (g *Graph) FindVertexByName(name string) VertexID {
 	return NoVertex
 }
 
-// currentFrozen returns the cached Frozen snapshot if it is still valid, or
-// nil. Unlike Frozen() it never builds one.
-func (g *Graph) currentFrozen() *Frozen {
-	g.frozenMu.Lock()
-	defer g.frozenMu.Unlock()
-	if g.frozen != nil && g.frozen.version == g.version {
-		return g.frozen
+// verticesWithLabel returns the vertices carrying label, in ID order. The
+// label index behind it is built on first use and rebuilt after any
+// structural mutation. The slice is shared and must not be modified.
+func (g *Graph) verticesWithLabel(label int) []VertexID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.byLabel == nil || g.byLabelAt != g.version {
+		g.byLabel = make(map[int][]VertexID, 16)
+		for i := range g.vertices {
+			l := g.vertices[i].Label
+			g.byLabel[l] = append(g.byLabel[l], VertexID(i))
+		}
+		g.byLabelAt = g.version
 	}
-	return nil
+	return g.byLabel[label]
 }
 
 // VerticesWhere returns the IDs of all vertices for which pred returns true,

@@ -9,23 +9,17 @@ import "math/bits"
 //
 // The causal pass issues many queries against one PAG (every pair of
 // detected victims), so the finder is built for query reuse: ancestor sets
-// are packed []uint64 bitsets computed over the frozen CSR view, cached
-// across queries, and intersected word-wise; path reconstruction reuses
-// finder-local scratch. A finder is NOT safe for concurrent use — build one
-// per goroutine (they share the underlying Frozen snapshot, which is).
+// are packed []uint64 bitsets, cached across queries and intersected
+// word-wise; path reconstruction reuses finder-local scratch. A finder is
+// NOT safe for concurrent use — build one per goroutine.
 type LCAFinder struct {
 	g      *Graph
-	f      *Frozen
-	depths []int32
+	depths []int
 	valid  bool
 	nwords int
 
 	// anc caches the ancestor bitset of every queried vertex.
 	anc map[VertexID][]uint64
-
-	// pulls counts pull-direction sweeps taken while building ancestor
-	// sets — the direction-optimizing traversal's observable decision.
-	pulls int
 
 	// query scratch, reused across Query calls.
 	bfsQueue   []VertexID
@@ -34,14 +28,13 @@ type LCAFinder struct {
 }
 
 // NewLCAFinder prepares LCA queries on g. If g is cyclic the finder is
-// created but every query returns NoVertex. Building one freezes g's
-// current structure; mutating g afterwards and reusing the finder panics.
+// created but every query returns NoVertex. The finder captures g's
+// current structure; do not mutate g while using it.
 func NewLCAFinder(g *Graph) *LCAFinder {
-	f := g.Frozen()
-	depths, ok := f.Depths()
-	n := f.NumVertices()
+	depths, ok := g.Depths()
+	n := g.NumVertices()
 	return &LCAFinder{
-		g: g, f: f, depths: depths, valid: ok,
+		g: g, depths: depths, valid: ok,
 		nwords:     (n + 63) / 64,
 		anc:        make(map[VertexID][]uint64, 16),
 		seen:       make([]bool, n),
@@ -53,25 +46,37 @@ func NewLCAFinder(g *Graph) *LCAFinder {
 func (f *LCAFinder) Valid() bool { return f.valid }
 
 // ancestorBits returns the ancestor set of v (including v itself) as a
-// bitset indexed by VertexID, computed by the direction-optimizing reverse
-// traversal over the frozen CSR and cached for subsequent queries.
+// bitset indexed by VertexID, cached for subsequent queries.
 func (f *LCAFinder) ancestorBits(v VertexID) []uint64 {
 	if bs, ok := f.anc[v]; ok {
 		return bs
 	}
 	bs := make([]uint64, f.nwords)
-	q, pulls := f.f.AncestorBits(v, bs, f.bfsQueue)
-	f.bfsQueue = q[:0]
-	f.pulls += pulls
+	f.bfsQueue = f.g.AncestorBits(v, bs, f.bfsQueue)[:0]
 	f.anc[v] = bs
 	return bs
 }
 
-// PullSweeps returns how many pull-direction (bottom-up) sweeps the finder's
-// ancestor-set traversals have taken so far; zero means every set was built
-// purely frontier-push. Exposed so execution traces can report the
-// traversal direction actually chosen.
-func (f *LCAFinder) PullSweeps() int { return f.pulls }
+// AncestorBits fills bs — a zeroed bitset with at least (NumVertices+63)/64
+// words — with every vertex from which v is reachable, including v itself,
+// by a reverse breadth-first search: the closure LCA ancestor sets are
+// built from. queue is optional scratch; the (possibly grown) buffer is
+// returned so callers can reuse it.
+func (g *Graph) AncestorBits(v VertexID, bs []uint64, queue []VertexID) []VertexID {
+	q := append(queue[:0], v)
+	bs[int(v)>>6] |= 1 << (uint(v) & 63)
+	for head := 0; head < len(q); head++ {
+		for _, eid := range g.in[q[head]] {
+			src := g.edges[eid].Src
+			word, bit := int(src)>>6, uint64(1)<<(uint(src)&63)
+			if bs[word]&bit == 0 {
+				bs[word] |= bit
+				q = append(q, src)
+			}
+		}
+	}
+	return q
+}
 
 // Query returns the deepest common ancestor of a and b and one path from
 // that ancestor to each query vertex (pathA leads to a, pathB to b). Paths
@@ -88,7 +93,7 @@ func (f *LCAFinder) Query(a, b VertexID) (lca VertexID, pathA, pathB []EdgeID) {
 	// Word-wise AND; the deepest set bit wins, ties broken by lowest ID
 	// (ascending scan with strict comparison).
 	lca = NoVertex
-	best := int32(-1)
+	best := -1
 	for wi := range ancA {
 		w := ancA[wi] & ancB[wi]
 		for w != 0 {
@@ -117,7 +122,7 @@ func (f *LCAFinder) pathDown(src, dst VertexID, anc []uint64) []EdgeID {
 	// BFS from src over edges whose destination is still an ancestor of dst
 	// (or dst itself), recording parents, then unwind. Scratch arrays are
 	// finder-local; only the result path allocates.
-	fz := f.f
+	g := f.g
 	q := f.bfsQueue[:0]
 	q = append(q, src)
 	f.seen[src] = true
@@ -126,13 +131,13 @@ func (f *LCAFinder) pathDown(src, dst VertexID, anc []uint64) []EdgeID {
 		if v == dst {
 			break
 		}
-		base := fz.outStart[v]
-		for k, d := range fz.outDst[base:fz.outStart[v+1]] {
+		for _, eid := range g.out[v] {
+			d := g.edges[eid].Dst
 			if f.seen[d] || anc[d>>6]&(1<<(uint(d)&63)) == 0 {
 				continue
 			}
 			f.seen[d] = true
-			f.parentEdge[d] = fz.outEdge[base+int32(k)]
+			f.parentEdge[d] = eid
 			q = append(q, d)
 		}
 	}
@@ -142,7 +147,7 @@ func (f *LCAFinder) pathDown(src, dst VertexID, anc []uint64) []EdgeID {
 		for v := dst; v != src; {
 			eid := f.parentEdge[v]
 			rev = append(rev, eid)
-			v = f.g.edges[eid].Src
+			v = g.edges[eid].Src
 		}
 	}
 	for _, v := range q {

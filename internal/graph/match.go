@@ -75,16 +75,12 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 	}
 	m.order = matchOrder(query)
 
-	// Candidate sets per query vertex: drawn from the frozen label index
+	// Candidate sets per query vertex: drawn from the graph's label index
 	// (pruning with the default compatibility), filtered by a full scan for
 	// custom compatibility or wildcard labels, or all data vertices (naive).
 	// The anchor restricts query vertex 0. All paths enumerate candidates in
 	// ascending data-vertex ID, so the embedding order is identical across
 	// them.
-	var fz *Frozen
-	if !opts.DisableLabelPruning {
-		fz = data.Frozen()
-	}
 	m.cands = make([][]VertexID, nq)
 	for _, q := range m.order {
 		qv := query.Vertex(q)
@@ -105,10 +101,10 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 		if opts.VertexCompat == nil && qv.Label != WildcardLabel {
 			// Fast path: the label index already holds exactly the
 			// compatible vertices (ID-ascending); only degrees need checking.
-			byLabel := fz.VerticesWithLabel(qv.Label)
+			byLabel := data.verticesWithLabel(qv.Label)
 			cands := make([]VertexID, 0, len(byLabel))
 			for _, dv := range byLabel {
-				if fz.OutDegree(dv) >= query.OutDegree(q) && fz.InDegree(dv) >= query.InDegree(q) {
+				if data.OutDegree(dv) >= query.OutDegree(q) && data.InDegree(dv) >= query.InDegree(q) {
 					cands = append(cands, dv)
 				}
 			}

@@ -119,29 +119,53 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom deserializes a graph previously written with WriteTo.
+// FormatError reports input that is not a graph written by WriteTo: a bad
+// header, a reference out of range, or data that ends before the counts
+// it declares are satisfied.
+type FormatError struct {
+	Section string // the part being decoded, e.g. "graph string table"
+	Err     error
+}
+
+func (e *FormatError) Error() string { return "malformed " + e.Section + ": " + e.Err.Error() }
+
+// Unwrap returns the underlying cause (io.ErrUnexpectedEOF for truncation).
+func (e *FormatError) Unwrap() error { return e.Err }
+
+// maxPrealloc caps what a decoder reserves from a count it has read but
+// not yet backed with data; beyond it, structures grow as bytes arrive,
+// so a corrupt count cannot allocate more than the input holds.
+const maxPrealloc = 1 << 12
+
+// ReadFrom deserializes a graph previously written with WriteTo. Malformed
+// input yields a *FormatError.
 func ReadFrom(r io.Reader) (*Graph, error) {
-	dec := &decoder{r: bufio.NewReader(r)}
-	if dec.u32() != serialMagic {
-		return nil, errors.New("graph: bad magic")
-	}
-	if v := dec.u32(); v != serialVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", v)
+	dec := &decoder{r: bufio.NewReader(r), section: "graph header"}
+	magic, version := dec.u32(), dec.u32()
+	switch {
+	case dec.err != nil:
+		return nil, dec.err
+	case magic != serialMagic:
+		return nil, &FormatError{"graph header", errors.New("bad magic")}
+	case version != serialVersion:
+		return nil, &FormatError{"graph header", fmt.Errorf("unsupported version %d", version)}
 	}
 	nStr := dec.u32()
-	table := make([]string, nStr)
-	for i := range table {
-		table[i] = dec.str()
+	dec.section = "graph string table"
+	table := make([]string, 0, min(nStr, maxPrealloc))
+	for i := uint32(0); i < nStr && dec.err == nil; i++ {
+		table = append(table, dec.str())
 	}
 	lookup := func(idx uint32) (string, error) {
 		if int(idx) >= len(table) {
-			return "", fmt.Errorf("graph: string index %d out of range", idx)
+			return "", &FormatError{dec.section, fmt.Errorf("string index %d out of range", idx)}
 		}
 		return table[idx], nil
 	}
 
 	nv := dec.u32()
-	g := New(int(nv), 0)
+	dec.section = "graph vertices"
+	g := New(int(min(nv, maxPrealloc)), 0)
 	for i := uint32(0); i < nv && dec.err == nil; i++ {
 		name, err := lookup(dec.u32())
 		if err != nil {
@@ -163,9 +187,9 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 				return nil, err
 			}
 			vl := dec.u32()
-			vec := make([]float64, vl)
-			for x := range vec {
-				vec[x] = dec.f64()
+			vec := make([]float64, 0, min(vl, maxPrealloc))
+			for x := uint32(0); x < vl && dec.err == nil; x++ {
+				vec = append(vec, dec.f64())
 			}
 			v.SetVec(k, vec)
 		}
@@ -183,12 +207,16 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	}
 
 	ne := dec.u32()
+	dec.section = "graph edges"
 	for i := uint32(0); i < ne && dec.err == nil; i++ {
 		src := VertexID(dec.u32())
 		dst := VertexID(dec.u32())
 		label := int(dec.i32())
+		if dec.err != nil {
+			break
+		}
 		if !g.HasVertex(src) || !g.HasVertex(dst) {
-			return nil, fmt.Errorf("graph: edge %d has invalid endpoints %d->%d", i, src, dst)
+			return nil, &FormatError{dec.section, fmt.Errorf("edge %d has invalid endpoints %d->%d", i, src, dst)}
 		}
 		id := g.AddEdge(src, dst, label)
 		e := g.Edge(id)
@@ -311,16 +339,29 @@ func (e *encoder) str(s string) {
 }
 
 type decoder struct {
-	r   io.Reader
-	err error
-	buf [8]byte
+	r       io.Reader
+	section string // reported in errors
+	err     error  // the first *FormatError; later reads are no-ops
+	buf     [8]byte
+}
+
+// read fills p, recording truncation as a *FormatError.
+func (d *decoder) read(p []byte) bool {
+	if d.err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		d.err = &FormatError{d.section, err}
+		return false
+	}
+	return true
 }
 
 func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if _, d.err = io.ReadFull(d.r, d.buf[:4]); d.err != nil {
+	if !d.read(d.buf[:4]) {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(d.buf[:4])
@@ -329,26 +370,30 @@ func (d *decoder) u32() uint32 {
 func (d *decoder) i32() int32 { return int32(d.u32()) }
 
 func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if _, d.err = io.ReadFull(d.r, d.buf[:8]); d.err != nil {
+	if !d.read(d.buf[:8]) {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[:8]))
 }
 
+// str reads a length-prefixed string, reserving at most maxPrealloc bytes
+// ahead of the data.
 func (d *decoder) str() string {
 	n := d.u32()
 	if d.err != nil {
 		return ""
 	}
 	if n > 1<<24 {
-		d.err = fmt.Errorf("graph: string length %d too large", n)
+		d.err = &FormatError{d.section, fmt.Errorf("string length %d too large", n)}
 		return ""
 	}
-	b := make([]byte, n)
-	if _, d.err = io.ReadFull(d.r, b); d.err != nil {
+	var b []byte
+	for len(b) < int(n) && d.err == nil {
+		chunk := min(int(n)-len(b), maxPrealloc)
+		b = append(b, make([]byte, chunk)...)
+		d.read(b[len(b)-chunk:])
+	}
+	if d.err != nil {
 		return ""
 	}
 	return string(b)

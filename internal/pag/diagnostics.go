@@ -9,9 +9,8 @@ import (
 // attribute of the matching top-down vertices, so downstream passes and
 // reports surface them next to the performance data (error findings abort
 // the run before a PAG exists, and info findings stay report-only).
-// Several findings on one vertex join with "; ". Attribute writes do not
-// invalidate a frozen view, so attaching after collection is safe.
-// Returns the number of findings attached.
+// Several findings on one vertex join with "; ". Returns the number of
+// findings attached.
 func (p *PAG) AttachDiagnostics(diags []lint.Diagnostic) int {
 	attached := 0
 	for _, d := range diags {

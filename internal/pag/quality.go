@@ -19,8 +19,7 @@ const QualityPartial = "partial"
 // TagDataQuality walks run's per-rank status and tags the vertices (and,
 // in the parallel view, inter-process edges) fed by incomplete streams
 // with AttrDataQuality="partial". It returns the number of elements
-// tagged. Attribute writes do not invalidate a frozen view, so tagging
-// after collection is safe.
+// tagged.
 func (p *PAG) TagDataQuality(run *trace.Run) int {
 	if run == nil || len(run.Status) == 0 {
 		return 0

@@ -63,18 +63,18 @@ func (p *PAG) SaveFile(path string) error {
 
 // Load reads a PAG previously written with Save. prog may be nil; when
 // given, the node mapping is revalidated against it and VertexOf lookups
-// work for top-down views.
+// work for top-down views. Malformed input yields a *graph.FormatError.
 func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 	br := bufio.NewReader(r)
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
+		return nil, malformed("pag header", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != pagMagic {
-		return nil, errors.New("pag: bad magic")
+		return nil, malformed("pag header", errors.New("bad magic"))
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != pagVersion {
-		return nil, fmt.Errorf("pag: unsupported version %d", v)
+		return nil, malformed("pag header", fmt.Errorf("unsupported version %d", v))
 	}
 	p := &PAG{
 		Prog:     prog,
@@ -82,17 +82,16 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 		NRanks:   int(binary.LittleEndian.Uint32(hdr[12:])),
 		NThreads: int(binary.LittleEndian.Uint32(hdr[16:])),
 	}
+	// The node map grows as entries arrive: the header's count alone must
+	// not reserve memory the input cannot back.
 	nNodes := binary.LittleEndian.Uint32(hdr[20:])
-	if nNodes > 1<<28 {
-		return nil, errors.New("pag: implausible node-map size")
-	}
-	p.nodeOf = make([]ir.NodeID, nNodes)
+	p.nodeOf = make([]ir.NodeID, 0, min(nNodes, 1<<12))
 	var buf [4]byte
-	for i := range p.nodeOf {
+	for i := uint32(0); i < nNodes; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
+			return nil, malformed("pag node map", err)
 		}
-		p.nodeOf[i] = ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:])))
+		p.nodeOf = append(p.nodeOf, ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:]))))
 	}
 	g, err := graph.ReadFrom(br)
 	if err != nil {
@@ -100,8 +99,8 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 	}
 	p.G = g
 	if len(p.nodeOf) != g.NumVertices() {
-		return nil, fmt.Errorf("pag: node map (%d) does not cover graph (%d vertices)",
-			len(p.nodeOf), g.NumVertices())
+		return nil, malformed("pag node map", fmt.Errorf("%d entries for %d vertices",
+			len(p.nodeOf), g.NumVertices()))
 	}
 	// Rebuild the reverse/flow indices from the persisted data.
 	if p.View == TopDown && prog != nil {
@@ -131,6 +130,13 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 		}
 	}
 	return p, nil
+}
+
+func malformed(section string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return &graph.FormatError{Section: section, Err: err}
 }
 
 // LoadFile reads a PAG from path.

@@ -2,6 +2,9 @@ package pag
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"perflow/internal/graph"
@@ -100,5 +103,51 @@ func TestPAGLoadErrors(t *testing.T) {
 	bad := make([]byte, 24)
 	if _, err := Load(bytes.NewReader(bad), nil); err == nil {
 		t.Error("bad magic should error")
+	}
+}
+
+// hostile assembles a PAG file from little-endian 32-bit words.
+func hostile(words ...uint32) []byte {
+	b := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(b[4*i:], w)
+	}
+	return b
+}
+
+// TestLoadHostileHeaders feeds files whose counts promise far more data
+// than they hold. Each must fail with a *graph.FormatError, and the load
+// may allocate only in proportion to the bytes actually read.
+func TestLoadHostileHeaders(t *testing.T) {
+	const (
+		pagHdr   = pagMagic
+		graphHdr = 0x50414731 // graph.ReadFrom's magic
+		huge     = 0xFFFFFFFF
+	)
+	cases := map[string][]byte{
+		"node map count":   hostile(pagHdr, pagVersion, 0, 1, 0, 1<<28),
+		"node map max":     hostile(pagHdr, pagVersion, 0, 1, 0, huge),
+		"string count":     hostile(pagHdr, pagVersion, 0, 1, 0, 0, graphHdr, 1, huge),
+		"string length":    hostile(pagHdr, pagVersion, 0, 1, 0, 0, graphHdr, 1, 1, 1<<24),
+		"vertex count":     hostile(pagHdr, pagVersion, 0, 1, 0, 0, graphHdr, 1, 0, huge),
+		"edge count":       hostile(pagHdr, pagVersion, 0, 1, 0, 0, graphHdr, 1, 0, 0, huge),
+		"metric count":     hostile(pagHdr, pagVersion, 0, 1, 0, 1, 0, graphHdr, 1, 1, 0, 1, 0, 0, huge),
+		"vector length":    hostile(pagHdr, pagVersion, 0, 1, 0, 1, 0, graphHdr, 1, 1, 0, 1, 0, 0, 0, 1, 0, huge),
+		"truncated header": hostile(pagHdr, pagVersion)[:7],
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(data), nil)
+			runtime.ReadMemStats(&after)
+			var fe *graph.FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("Load = %v, want a *graph.FormatError", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("Load of %d bytes allocated %d bytes", len(data), alloc)
+			}
+		})
 	}
 }
