@@ -10,16 +10,19 @@
 // rank arrives — so load imbalance injected into one loop propagates
 // through communication edges exactly as in case studies A and B.
 //
-// Simulation is in two phases: flattening (per-rank IR walk producing an
-// op list with interned calling contexts, no cross-rank interaction) and
-// replay (cooperative advancement of rank clocks with message matching and
-// deadlock detection).
+// Simulation is in two phases: flattening (per-rank IR walk producing a
+// resolved op tree with interned calling contexts, no cross-rank
+// interaction) and replay (cooperative advancement of rank clocks with
+// message matching and deadlock detection). A comm-per-iter loop stays one
+// loop op in the tree; each rank's cursor expands it during replay, so the
+// unrolled stream is never materialized.
 package mpisim
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,7 +50,9 @@ type Config struct {
 	SamplingPeriod   float64 // µs between sampling interrupts (0 = off)
 	SampleCost       float64 // µs of handler work per sampling interrupt
 
-	// MaxOpsPerRank caps flattened operations per rank as a runaway guard.
+	// MaxOpsPerRank caps the operations per rank, counted as the unrolled
+	// stream would hold them (a comm-per-iter loop counts trips × body), as
+	// a runaway guard.
 	MaxOpsPerRank int // default 4,000,000
 
 	// GPU model (the CUDA extension): kernel launches cost
@@ -180,17 +185,23 @@ func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) 
 
 	cct := trace.NewCCT()
 	ranks := make([]*rankState, cfg.NRanks)
+	fl := &flattener{prog: p, nranks: cfg.NRanks, cfg: cfg, cct: cct}
 	for r := 0; r < cfg.NRanks; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fl := &flattener{prog: p, rank: r, nranks: cfg.NRanks, cfg: cfg, cct: cct}
+		fl.rank, fl.count = r, 0
 		entry := p.Function(p.Entry)
 		entryCtx := cct.Intern(trace.NoCtx, entry.ID())
 		if err := fl.nodes(entry.Body, entryCtx, 1); err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		ranks[r] = &rankState{rank: r, ops: fl.ops, requests: map[string][]*request{}}
+		rs := &rankState{rank: r, cur: newCursor(fl.take(0)), requests: map[string][]*request{}}
+		if fl.count > 0 {
+			// Every op emits exactly one event; only parallel regions add more.
+			rs.events = make([]trace.Event, 0, fl.count)
+		}
+		ranks[r] = rs
 	}
 
 	world := &world{
@@ -236,7 +247,7 @@ func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) 
 
 // ---- flattening ----
 
-type opKind int
+type opKind uint8
 
 const (
 	opCompute opKind = iota
@@ -244,10 +255,23 @@ const (
 	opRegion
 	opKernel
 	opDeviceSync
+	opLoop // a comm-per-iter loop: body repeats trips times
+)
+
+// srPart marks the ops of an expanded MPI_Sendrecv. Their request names are
+// unique per expansion, so the cursor assigns them as it reaches the ops.
+type srPart uint8
+
+const (
+	srNone srPart = iota
+	srOpen        // the Isend that opens an expansion; names the send request
+	srSend        // names the send request of the open expansion
+	srRecv        // names the receive request of the open expansion
 )
 
 type op struct {
 	kind opKind
+	sr   srPart
 	node ir.NodeID
 	ctx  trace.CtxID
 
@@ -263,6 +287,9 @@ type op struct {
 	region *ir.Parallel
 	kernel *ir.Kernel
 	stream int
+
+	body  []op // loop
+	trips int
 }
 
 type flattener struct {
@@ -271,22 +298,68 @@ type flattener struct {
 	nranks int
 	cfg    Config
 	cct    *trace.CCT
-	ops    []op
-	srSeq  int // unique request counter for Sendrecv expansion
+	count  int // ops of the rank's unrolled stream so far, capped by MaxOpsPerRank
+	// buf stacks the op lists being flattened (a loop body on top of its
+	// enclosing list); take copies each out exactly sized. It is reused
+	// across ranks.
+	buf []op
 }
 
 func (f *flattener) push(o op) error {
-	if len(f.ops) >= f.cfg.MaxOpsPerRank {
-		return fmt.Errorf("mpisim: rank %d exceeds %d flattened operations (runaway loop?)", f.rank, f.cfg.MaxOpsPerRank)
+	if f.count >= f.cfg.MaxOpsPerRank {
+		return f.runaway()
 	}
-	f.ops = append(f.ops, o)
+	f.count++
+	f.buf = append(f.buf, o)
+	return nil
+}
+
+// take removes the op list that starts at buf[start] and returns it as an
+// exactly sized copy.
+func (f *flattener) take(start int) []op {
+	ops := slices.Clone(f.buf[start:])
+	f.buf = f.buf[:start]
+	return ops
+}
+
+func (f *flattener) runaway() error {
+	return fmt.Errorf("mpisim: rank %d exceeds %d flattened operations (runaway loop?)", f.rank, f.cfg.MaxOpsPerRank)
+}
+
+// pushLoop resolves a comm-per-iter loop's body once and records it as one
+// loop op repeated trips times, counting every unrolled op against the cap.
+func (f *flattener) pushLoop(x *ir.Loop, loopCtx trace.CtxID, trips, mult float64) error {
+	if math.IsInf(trips, 0) || math.IsNaN(trips) {
+		return f.runaway()
+	}
+	iters := math.Trunc(trips)
+	if iters < 1 {
+		return nil
+	}
+	start, before := len(f.buf), f.count
+	if err := f.nodes(x.Body, loopCtx, mult); err != nil {
+		return err
+	}
+	body := f.take(start)
+	per := f.count - before
+	if per == 0 {
+		return nil
+	}
+	// The first iteration is counted; the other iters-1 must fit in what is
+	// left. Comparing against a quotient cannot overflow.
+	if iters-1 > float64((f.cfg.MaxOpsPerRank-f.count)/per) {
+		return f.runaway()
+	}
+	f.count += per * (int(iters) - 1)
+	f.buf = append(f.buf, op{kind: opLoop, node: x.ID(), ctx: loopCtx, body: body, trips: int(iters)})
 	return nil
 }
 
 // pushSendrecv expands MPI_Sendrecv into a non-blocking pair plus waits on
-// unique request names, preserving the fused call's deadlock-freedom: the
-// send to the peer and the receive from the symmetric partner progress
-// independently. All four ops carry the Sendrecv node identity.
+// request names unique to the expansion (assigned by the cursor),
+// preserving the fused call's deadlock-freedom: the send to the peer and
+// the receive from the symmetric partner progress independently. All four
+// ops carry the Sendrecv node identity.
 func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 	sendPeer := x.Peer.Resolve(f.rank, f.nranks)
 	recvPeer := symmetricPartner(x.Peer, f.rank, f.nranks)
@@ -295,14 +368,11 @@ func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 	}
 	nodeCtx := f.cct.Intern(ctx, x.ID())
 	bytes := x.Bytes.Value(f.rank, f.nranks)
-	f.srSeq++
-	sreq := fmt.Sprintf("\x00sr%d.s", f.srSeq)
-	rreq := fmt.Sprintf("\x00sr%d.r", f.srSeq)
-	ops := []op{
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIsend, peer: sendPeer, bytes: bytes, tag: x.Tag, req: sreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIrecv, peer: recvPeer, bytes: bytes, tag: x.Tag, req: rreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: recvPeer, req: rreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: sendPeer, req: sreq},
+	ops := [...]op{
+		{kind: opComm, sr: srOpen, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIsend, peer: sendPeer, bytes: bytes, tag: x.Tag},
+		{kind: opComm, sr: srRecv, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIrecv, peer: recvPeer, bytes: bytes, tag: x.Tag},
+		{kind: opComm, sr: srRecv, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: recvPeer},
+		{kind: opComm, sr: srSend, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: sendPeer},
 	}
 	for _, o := range ops {
 		if err := f.push(o); err != nil {
@@ -360,13 +430,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 			// independent of per-rank trip variation.
 			return f.nodes(x.Body, loopCtx, mult*trips)
 		}
-		iters := int(trips)
-		for i := 0; i < iters; i++ {
-			if err := f.nodes(x.Body, loopCtx, mult); err != nil {
-				return err
-			}
-		}
-		return nil
+		return f.pushLoop(x, loopCtx, trips, mult)
 
 	case *ir.Branch:
 		if x.Taken.Value(f.rank, f.nranks) == 0 {
@@ -448,6 +512,75 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	}
 }
 
+// ---- cursor ----
+
+// cursor yields a rank's ops in program order from its resolved op tree,
+// expanding loop ops in place. The current leaf is a copy carrying the
+// request names of an expanded Sendrecv.
+type cursor struct {
+	stack  []frame
+	leaf   op
+	srSeq  int // Sendrecv expansions reached so far
+	sendRq string
+	recvRq string
+}
+
+type frame struct {
+	ops  []op
+	i    int // next op to visit
+	left int // repetitions of ops still to come after this one
+}
+
+func newCursor(ops []op) cursor {
+	c := cursor{stack: []frame{{ops: ops}}}
+	c.advance()
+	return c
+}
+
+// done reports whether the stream is exhausted (or was stopped).
+func (c *cursor) done() bool { return len(c.stack) == 0 }
+
+// op returns the current op; valid until the next advance.
+func (c *cursor) op() *op { return &c.leaf }
+
+// stop abandons the rest of the stream.
+func (c *cursor) stop() { c.stack = c.stack[:0] }
+
+// advance moves to the next leaf op, or to done.
+func (c *cursor) advance() {
+	for len(c.stack) > 0 {
+		f := &c.stack[len(c.stack)-1]
+		if f.i == len(f.ops) {
+			if f.left > 0 {
+				f.left--
+				f.i = 0
+			} else {
+				c.stack = c.stack[:len(c.stack)-1]
+			}
+			continue
+		}
+		o := &f.ops[f.i]
+		f.i++
+		if o.kind == opLoop {
+			c.stack = append(c.stack, frame{ops: o.body, left: o.trips - 1})
+			continue
+		}
+		c.leaf = *o
+		switch o.sr {
+		case srOpen:
+			c.srSeq++
+			c.sendRq = fmt.Sprintf("\x00sr%d.s", c.srSeq)
+			c.recvRq = fmt.Sprintf("\x00sr%d.r", c.srSeq)
+			c.leaf.req = c.sendRq
+		case srSend:
+			c.leaf.req = c.sendRq
+		case srRecv:
+			c.leaf.req = c.recvRq
+		}
+		return
+	}
+}
+
 // ---- replay ----
 
 type chanKey struct {
@@ -525,8 +658,7 @@ func (rq *request) done() (float64, bool) {
 
 type rankState struct {
 	rank   int
-	ops    []op
-	pc     int
+	cur    cursor
 	clock  float64
 	events []trace.Event
 
@@ -589,10 +721,10 @@ func (w *world) degradeStalls() bool {
 	timeout := w.cfg.Faults.timeout()
 	truncated := false
 	for _, rs := range w.ranks {
-		if rs.pc >= len(rs.ops) {
+		if rs.cur.done() {
 			continue
 		}
-		o := &rs.ops[rs.pc]
+		o := rs.cur.op()
 		name := "compute"
 		if o.kind == opComm {
 			name = o.commOp.String()
@@ -601,7 +733,7 @@ func (w *world) degradeStalls() bool {
 		w.status[rs.rank].Stalled = true
 		w.status[rs.rank].StallTime = rs.clock
 		w.status[rs.rank].StallOp = name
-		rs.pc = len(rs.ops)
+		rs.cur.stop()
 		truncated = true
 	}
 	return truncated
@@ -612,7 +744,7 @@ func (w *world) degradeStalls() bool {
 func (w *world) crashRank(rs *rankState) {
 	w.status[rs.rank].Crashed = true
 	w.status[rs.rank].CrashTime = rs.clock
-	rs.pc = len(rs.ops)
+	rs.cur.stop()
 }
 
 func (w *world) replay(ctx context.Context) error {
@@ -626,7 +758,7 @@ func (w *world) replay(ctx context.Context) error {
 			for w.step(rs) {
 				progress = true
 			}
-			if rs.pc >= len(rs.ops) {
+			if rs.cur.done() {
 				finished++
 			}
 		}
@@ -645,10 +777,10 @@ func (w *world) replay(ctx context.Context) error {
 func (w *world) deadlock() error {
 	de := &DeadlockError{}
 	for _, rs := range w.ranks {
-		if rs.pc >= len(rs.ops) {
+		if rs.cur.done() {
 			continue
 		}
-		o := &rs.ops[rs.pc]
+		o := rs.cur.op()
 		dbg := ""
 		if n := w.prog.Node(o.node); n != nil {
 			if d, ok := n.(interface{ Debug() string }); ok {
@@ -667,14 +799,14 @@ func (w *world) deadlock() error {
 // step attempts to execute the next op of rs. It returns true if the rank
 // made progress (op completed) and false if it is blocked or finished.
 func (w *world) step(rs *rankState) bool {
-	if rs.pc >= len(rs.ops) {
+	if rs.cur.done() {
 		return false
 	}
 	if t, ok := w.cfg.Faults.crashAt(rs.rank); ok && rs.clock >= t {
 		w.crashRank(rs)
 		return true
 	}
-	o := &rs.ops[rs.pc]
+	o := rs.cur.op()
 	switch o.kind {
 	case opCompute:
 		rs.emit(trace.Event{
@@ -683,7 +815,7 @@ func (w *world) step(rs *rankState) bool {
 			Start: rs.clock, End: rs.clock + o.dur,
 		}, w.cfg)
 		rs.clock += o.dur
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case opRegion:
@@ -701,7 +833,7 @@ func (w *world) step(rs *rankState) bool {
 			Start: rs.clock, End: rs.clock + res.Elapsed, Wait: res.LockWait,
 		}, w.cfg)
 		rs.clock += res.Elapsed
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case opComm:
@@ -750,7 +882,7 @@ func (w *world) stepKernel(rs *rankState, o *op) {
 		Node: o.node, Ctx: o.ctx, Start: launch, End: end,
 		Bytes: k.H2D.Value(rs.rank, w.cfg.NRanks) + k.D2H.Value(rs.rank, w.cfg.NRanks),
 	}, w.cfg)
-	rs.pc++
+	rs.cur.advance()
 }
 
 // stepDeviceSync blocks the host until the stream (or every stream when
@@ -775,7 +907,7 @@ func (w *world) stepDeviceSync(rs *rankState, o *op) {
 		Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 		Wait: rs.clock - start,
 	}, w.cfg)
-	rs.pc++
+	rs.cur.advance()
 }
 
 func (rs *rankState) emit(e trace.Event, cfg Config) {
@@ -798,7 +930,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			Peer: int32(o.peer), Bytes: o.bytes,
 		}, w.cfg)
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case ir.CommIrecv:
@@ -814,7 +946,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			Peer: int32(o.peer), Bytes: o.bytes,
 		}, w.cfg)
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case ir.CommSend:
@@ -850,7 +982,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		}
 		rs.clock = end
 		rs.postedSend = nil
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case ir.CommRecv:
@@ -887,7 +1019,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		}
 		rs.clock = end
 		rs.postedRecv = nil
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case ir.CommWait:
@@ -899,7 +1031,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 				Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 				Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			}, w.cfg)
-			rs.pc++
+			rs.cur.advance()
 			return true
 		}
 		rq := reqs[0]
@@ -923,7 +1055,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		w.recordRequestSync(rs, o.node, rq, start)
 		rs.requests[o.req] = reqs[1:]
 		rs.removePending(rq)
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	case ir.CommWaitall:
@@ -953,7 +1085,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		for k := range rs.requests {
 			delete(rs.requests, k)
 		}
-		rs.pc++
+		rs.cur.advance()
 		return true
 
 	default: // collectives
@@ -1018,7 +1150,7 @@ func (w *world) stepCollective(rs *rankState, o *op) bool {
 		})
 	}
 	rs.waitingColl = nil
-	rs.pc++
+	rs.cur.advance()
 	return true
 }
 

@@ -1,13 +1,21 @@
 package mpisim
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"perflow/internal/ir"
 	"perflow/internal/trace"
+	"perflow/internal/workloads"
 )
 
 func mustRun(t *testing.T, p *ir.Program, cfg Config) *trace.Run {
@@ -667,5 +675,450 @@ func TestGatherScatterCollectives(t *testing.T) {
 	})
 	if gathers != 4 || scatters != 4 {
 		t.Errorf("collective events: gather=%d scatter=%d", gathers, scatters)
+	}
+}
+
+// refFlattener is the unrolling flattener the cursor replaced: it pushes a
+// comm-per-iter loop's body once per iteration and names each Sendrecv
+// expansion as it goes. It is the oracle for the cursor's op stream.
+type refFlattener struct {
+	prog   *ir.Program
+	rank   int
+	nranks int
+	cfg    Config
+	cct    *trace.CCT
+	ops    []op
+	srSeq  int
+}
+
+func (f *refFlattener) push(o op) error {
+	if len(f.ops) >= f.cfg.MaxOpsPerRank {
+		return fmt.Errorf("mpisim: rank %d exceeds %d flattened operations (runaway loop?)", f.rank, f.cfg.MaxOpsPerRank)
+	}
+	f.ops = append(f.ops, o)
+	return nil
+}
+
+func (f *refFlattener) nodes(ns []ir.Node, ctx trace.CtxID, mult float64) error {
+	for _, n := range ns {
+		if err := f.node(n, ctx, mult); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *refFlattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
+	switch x := n.(type) {
+	case *ir.Compute:
+		dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+		if dur <= 0 {
+			return nil
+		}
+		return f.push(op{kind: opCompute, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
+	case *ir.Loop:
+		trips := x.Trips.Value(f.rank, f.nranks)
+		if trips <= 0 {
+			return nil
+		}
+		loopCtx := f.cct.Intern(ctx, x.ID())
+		if !x.CommPerIter {
+			return f.nodes(x.Body, loopCtx, mult*trips)
+		}
+		for i := 0; i < int(trips); i++ {
+			if err := f.nodes(x.Body, loopCtx, mult); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *ir.Branch:
+		if x.Taken.Value(f.rank, f.nranks) == 0 {
+			return nil
+		}
+		return f.nodes(x.Body, f.cct.Intern(ctx, x.ID()), mult)
+	case *ir.Call:
+		callCtx := f.cct.Intern(ctx, x.ID())
+		if x.External || x.Indirect {
+			dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+			if dur <= 0 {
+				return nil
+			}
+			return f.push(op{kind: opCompute, node: x.ID(), ctx: callCtx, dur: dur})
+		}
+		callee := f.prog.Function(x.Callee)
+		if callee == nil {
+			return fmt.Errorf("mpisim: call to undefined function %q at %s", x.Callee, x.Debug())
+		}
+		return f.nodes(callee.Body, f.cct.Intern(callCtx, callee.ID()), mult)
+	case *ir.Comm:
+		if x.Op == ir.CommSendrecv {
+			sendPeer := x.Peer.Resolve(f.rank, f.nranks)
+			recvPeer := symmetricPartner(x.Peer, f.rank, f.nranks)
+			if sendPeer < 0 || recvPeer < 0 {
+				return fmt.Errorf("mpisim: rank %d: MPI_Sendrecv at %s has no resolvable peer", f.rank, x.Debug())
+			}
+			nodeCtx := f.cct.Intern(ctx, x.ID())
+			bytes := x.Bytes.Value(f.rank, f.nranks)
+			f.srSeq++
+			sreq := fmt.Sprintf("\x00sr%d.s", f.srSeq)
+			rreq := fmt.Sprintf("\x00sr%d.r", f.srSeq)
+			for _, o := range []op{
+				{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIsend, peer: sendPeer, bytes: bytes, tag: x.Tag, req: sreq},
+				{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIrecv, peer: recvPeer, bytes: bytes, tag: x.Tag, req: rreq},
+				{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: recvPeer, req: rreq},
+				{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: sendPeer, req: sreq},
+			} {
+				if err := f.push(o); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		o := op{
+			kind: opComm, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()),
+			commOp: x.Op, tag: x.Tag, req: x.Req,
+			bytes: x.Bytes.Value(f.rank, f.nranks),
+		}
+		o.peer = -1
+		switch x.Op {
+		case ir.CommSend, ir.CommRecv, ir.CommIsend, ir.CommIrecv:
+			if x.Peer.Kind == ir.PeerAny {
+				switch x.Op {
+				case ir.CommRecv, ir.CommIrecv:
+					o.peer = anySource
+				default:
+					return fmt.Errorf("mpisim: rank %d: %s at %s cannot use the wildcard peer", f.rank, x.Op, x.Debug())
+				}
+				break
+			}
+			o.peer = x.Peer.Resolve(f.rank, f.nranks)
+			if o.peer < 0 {
+				return fmt.Errorf("mpisim: rank %d: %s at %s has no resolvable peer", f.rank, x.Op, x.Debug())
+			}
+		}
+		return f.push(o)
+	case *ir.Parallel:
+		return f.push(op{kind: opRegion, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), region: x})
+	case *ir.Kernel:
+		return f.push(op{kind: opKernel, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), kernel: x, stream: x.Strm})
+	case *ir.DeviceSync:
+		return f.push(op{kind: opDeviceSync, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), stream: x.Strm})
+	case *ir.Mutex, *ir.Alloc:
+		var cnt, hold float64
+		var id ir.NodeID
+		switch y := n.(type) {
+		case *ir.Mutex:
+			cnt, hold, id = y.Count.Value(f.rank, f.nranks), y.Hold.Value(f.rank, f.nranks), y.ID()
+		case *ir.Alloc:
+			cnt, hold, id = y.Count.Value(f.rank, f.nranks), y.Hold.Value(f.rank, f.nranks), y.ID()
+		}
+		dur := cnt * hold * mult * f.cfg.slowFor(f.rank)
+		if dur <= 0 {
+			return nil
+		}
+		return f.push(op{kind: opCompute, node: id, ctx: f.cct.Intern(ctx, id), dur: dur})
+	default:
+		return fmt.Errorf("mpisim: unsupported node kind %q", n.Kind())
+	}
+}
+
+// checkStreamMatchesReference flattens every rank of p both ways, each into
+// its own CCT, and requires the cursor to yield the reference stream op by
+// op (request names included), the op count to match it, the same errors,
+// and identically interned calling contexts.
+func checkStreamMatchesReference(t *testing.T, name string, p *ir.Program, nranks int) {
+	t.Helper()
+	cfg := Config{NRanks: nranks}.withDefaults()
+	refCCT, cct := trace.NewCCT(), trace.NewCCT()
+	entry := p.Function(p.Entry)
+	for r := 0; r < nranks; r++ {
+		ref := &refFlattener{prog: p, rank: r, nranks: nranks, cfg: cfg, cct: refCCT}
+		refErr := ref.nodes(entry.Body, refCCT.Intern(trace.NoCtx, entry.ID()), 1)
+		fl := &flattener{prog: p, rank: r, nranks: nranks, cfg: cfg, cct: cct}
+		err := fl.nodes(entry.Body, cct.Intern(trace.NoCtx, entry.ID()), 1)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%s@%d rank %d: error %v, reference %v", name, nranks, r, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if fl.count != len(ref.ops) {
+			t.Fatalf("%s@%d rank %d: counted %d ops, reference unrolls %d", name, nranks, r, fl.count, len(ref.ops))
+		}
+		c := newCursor(fl.take(0))
+		for i, want := range ref.ops {
+			if c.done() {
+				t.Fatalf("%s@%d rank %d: stream ends at op %d of %d", name, nranks, r, i, len(ref.ops))
+			}
+			got := *c.op()
+			got.sr = srNone
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s@%d rank %d op %d:\n got %+v\nwant %+v", name, nranks, r, i, got, want)
+			}
+			c.advance()
+		}
+		if !c.done() {
+			t.Fatalf("%s@%d rank %d: stream longer than the reference's %d ops", name, nranks, r, len(ref.ops))
+		}
+	}
+	if cct.Len() != refCCT.Len() {
+		t.Fatalf("%s@%d: %d contexts, reference %d", name, nranks, cct.Len(), refCCT.Len())
+	}
+	for c := trace.CtxID(0); int(c) < cct.Len(); c++ {
+		if cct.Parent(c) != refCCT.Parent(c) || cct.Node(c) != refCCT.Node(c) {
+			t.Fatalf("%s@%d: context %d interned differently", name, nranks, c)
+		}
+	}
+}
+
+func TestStreamMatchesReferenceTable1(t *testing.T) {
+	for _, name := range []string{"bt", "cg", "ep", "ft", "mg", "sp", "lu", "is", "zeusmp", "lammps", "vite"} {
+		p, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 8, 64} {
+			checkStreamMatchesReference(t, name, p, n)
+		}
+	}
+}
+
+func TestStreamMatchesReferenceParseCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "ir", "testdata", "fuzz", "FuzzParse", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no FuzzParse corpus: %v", err)
+	}
+	checked := 0
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitN(string(raw), "\n", 3)
+		if len(lines) < 2 || !strings.HasPrefix(lines[1], "string(") {
+			t.Fatalf("%s: not a string corpus entry", path)
+		}
+		src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		p, err := ir.Parse(strings.NewReader(src))
+		if err != nil || p.Finalize() != nil || p.Function(p.Entry) == nil {
+			continue
+		}
+		for _, n := range []int{1, 8} {
+			checkStreamMatchesReference(t, filepath.Base(path), p, n)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no corpus program finalized")
+	}
+}
+
+func TestStreamMatchesReferenceLoops(t *testing.T) {
+	onRank0 := ir.Expr{Base: 1, Factor: map[int]float64{0: 0}} // taken on every rank but 0
+	cases := map[string]*ir.Program{
+		"nested": ir.NewBuilder("nested").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("outer", 2, ir.Const(3), func(ob *ir.Body) {
+					ob.Compute("w", 3, ir.Const(5))
+					ob.Loop("inner", 4, ir.Expr{Base: 2, Slope: 1}, func(ib *ir.Body) {
+						ib.Allreduce(5, ir.Const(8))
+						ib.Loop("closed", 6, ir.Const(10), func(cb *ir.Body) {
+							cb.Compute("k", 7, ir.Const(1))
+							cb.Barrier(8)
+						})
+					}).CommPerIter = true
+				}).CommPerIter = true
+			}).MustBuild(),
+		"zero-and-fractional-trips": ir.NewBuilder("zero").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("none", 2, ir.Const(0), func(lb *ir.Body) { lb.Barrier(3) }).CommPerIter = true
+				b.Loop("half", 4, ir.Const(0.5), func(lb *ir.Body) { lb.Barrier(5) }).CommPerIter = true
+				b.Loop("frac", 6, ir.Const(2.7), func(lb *ir.Body) { lb.Barrier(7) }).CommPerIter = true
+				b.Loop("empty", 8, ir.Const(1000), func(lb *ir.Body) { lb.Compute("z", 9, ir.Const(0)) }).CommPerIter = true
+				b.Loop("neg", 10, ir.Expr{Base: 2, Slope: -1}, func(lb *ir.Body) { lb.Barrier(11) }).CommPerIter = true
+			}).MustBuild(),
+		"untaken-branches": ir.NewBuilder("branches").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("l", 2, ir.Const(4), func(lb *ir.Body) {
+					lb.Branch("b", 3, onRank0, func(bb *ir.Body) {
+						bb.Compute("w", 4, ir.Const(2))
+						bb.Allreduce(5, ir.Const(8))
+					})
+					lb.Branch("never", 6, ir.Const(0), func(bb *ir.Body) { bb.Barrier(7) })
+				}).CommPerIter = true
+			}).MustBuild(),
+		"calls-in-loops": ir.NewBuilder("calls").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("l", 2, ir.Const(3), func(lb *ir.Body) {
+					lb.Call("exchange", 3)
+					lb.ExternalCall("libm", 4, ir.Const(1))
+					lb.Call("exchange", 5)
+				}).CommPerIter = true
+			}).
+			Func("exchange", "x.c", 10, func(b *ir.Body) {
+				b.Isend(11, ir.Peer{Kind: ir.PeerRight}, ir.Const(64), 1, "s")
+				b.Irecv(12, ir.Peer{Kind: ir.PeerLeft}, ir.Const(64), 1, "r")
+				b.Loop("inner", 13, ir.Const(2), func(lb *ir.Body) { lb.Barrier(14) }).CommPerIter = true
+				b.Waitall(15)
+			}).MustBuild(),
+		"sendrecv-in-loops": ir.NewBuilder("sendrecv").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Sendrecv(2, ir.Peer{Kind: ir.PeerRight}, ir.Const(1_000_000), 0)
+				b.Loop("l", 3, ir.Const(3), func(lb *ir.Body) {
+					lb.Sendrecv(4, ir.Peer{Kind: ir.PeerLeft}, ir.Const(16), 1)
+					lb.Loop("inner", 5, ir.Const(2), func(ib *ir.Body) {
+						ib.Sendrecv(6, ir.Peer{Kind: ir.PeerHalo2D, Arg: 2}, ir.Const(64), 2)
+					}).CommPerIter = true
+				}).CommPerIter = true
+				b.Sendrecv(7, ir.Peer{Kind: ir.PeerRight}, ir.Const(8), 3)
+			}).MustBuild(),
+	}
+	for name, p := range cases {
+		for _, n := range []int{1, 4, 9} {
+			checkStreamMatchesReference(t, name, p, n)
+		}
+	}
+	// Sendrecv request names stay unique per expansion across iterations.
+	p := cases["sendrecv-in-loops"]
+	fl := &flattener{prog: p, nranks: 4, cfg: Config{NRanks: 4}.withDefaults(), cct: trace.NewCCT()}
+	entry := p.Function(p.Entry)
+	if err := fl.nodes(entry.Body, fl.cct.Intern(trace.NoCtx, entry.ID()), 1); err != nil {
+		t.Fatal(err)
+	}
+	isends := map[string]bool{}
+	for c := newCursor(fl.take(0)); !c.done(); c.advance() {
+		if o := c.op(); o.commOp == ir.CommIsend {
+			if isends[o.req] {
+				t.Fatalf("request %q named twice", o.req)
+			}
+			isends[o.req] = true
+		}
+	}
+	if len(isends) != 1+3*(1+2)+1 {
+		t.Fatalf("%d Sendrecv expansions, want 11", len(isends))
+	}
+	mustRun(t, p, Config{NRanks: 4})
+}
+
+// runsUnderCap runs p under a per-rank op cap and reports whether it was
+// accepted; an accepted run must emit exactly maxOps events on rank 0.
+func runsUnderCap(t *testing.T, p *ir.Program, nranks, maxOps int) bool {
+	t.Helper()
+	run, err := Run(p, Config{NRanks: nranks, MaxOpsPerRank: maxOps})
+	if err != nil {
+		if !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d flattened operations", maxOps)) {
+			t.Fatalf("cap %d: unexpected error %v", maxOps, err)
+		}
+		return false
+	}
+	if got := len(run.Events[0]); got != maxOps {
+		t.Fatalf("cap %d: %d events, want exactly the cap", maxOps, got)
+	}
+	return true
+}
+
+func TestMaxOpsExactBoundary(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  int
+		p    *ir.Program
+	}{
+		{"flat", 5, ir.NewBuilder("flat").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Compute("w", 2, ir.Const(1))
+				for i := 0; i < 4; i++ {
+					b.Barrier(3 + i)
+				}
+			}).MustBuild()},
+		{"trips-x-body", 1 + 4*3, ir.NewBuilder("loop").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Compute("w", 2, ir.Const(1))
+				b.Loop("l", 3, ir.Const(4), func(lb *ir.Body) {
+					lb.Compute("k", 4, ir.Const(1))
+					lb.Allreduce(5, ir.Const(8))
+					lb.Barrier(6)
+				}).CommPerIter = true
+			}).MustBuild()},
+		{"nested", 3 * (1 + 4*2), ir.NewBuilder("nested").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("outer", 2, ir.Const(3), func(ob *ir.Body) {
+					ob.Barrier(3)
+					ob.Loop("inner", 4, ir.Const(4), func(ib *ir.Body) {
+						ib.Compute("k", 5, ir.Const(1))
+						ib.Barrier(6)
+					}).CommPerIter = true
+				}).CommPerIter = true
+			}).MustBuild()},
+	}
+	for _, tc := range cases {
+		if !runsUnderCap(t, tc.p, 2, tc.ops) {
+			t.Errorf("%s: %d ops rejected under a cap of %d", tc.name, tc.ops, tc.ops)
+		}
+		if runsUnderCap(t, tc.p, 2, tc.ops-1) {
+			t.Errorf("%s: %d ops accepted under a cap of %d", tc.name, tc.ops, tc.ops-1)
+		}
+	}
+}
+
+// TestHugeTripCountsRejected: trip counts past int64, and non-finite ones,
+// are the runaway-loop error rather than a silently empty loop.
+func TestHugeTripCountsRejected(t *testing.T) {
+	src := "program p\nfunc main file a.c line 1\nloop l line 2 trips 1e30 comm-per-iter\nmpi allreduce line 3 bytes 8\nend\nend\n"
+	p, err := ir.Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trips := map[string]*ir.Program{"1e30": p}
+	for name, v := range map[string]float64{"+Inf": math.Inf(1), "NaN": math.NaN(), "2^63": math.Ldexp(1, 63)} {
+		trips[name] = ir.NewBuilder("huge").
+			Func("main", "m.c", 1, func(b *ir.Body) {
+				b.Loop("l", 2, ir.Const(v), func(lb *ir.Body) { lb.Barrier(3) }).CommPerIter = true
+			}).MustBuild()
+	}
+	for name, p := range trips {
+		run, err := Run(p, Config{NRanks: 4})
+		if err == nil || !strings.Contains(err.Error(), "flattened operations") {
+			events := 0
+			if run != nil {
+				events = run.NumEvents()
+			}
+			t.Errorf("trips %s: got %d events and error %v, want the runaway-loop error", name, events, err)
+		}
+	}
+}
+
+// TestRunawayLoopRejectedCheaply: a 10^9-trip comm-per-iter loop at 64
+// ranks is refused before anything proportional to the trip count is
+// built.
+func TestRunawayLoopRejectedCheaply(t *testing.T) {
+	p := ir.NewBuilder("runaway").
+		Func("main", "m.c", 1, func(b *ir.Body) {
+			b.Loop("l", 2, ir.Const(1e9), func(lb *ir.Body) {
+				lb.Allreduce(3, ir.Const(8))
+			}).CommPerIter = true
+		}).MustBuild()
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Run(p, Config{NRanks: 64})
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "flattened operations") {
+		t.Fatalf("want the runaway-loop error, got %v", err)
+	}
+	if elapsed > 50*time.Millisecond {
+		t.Errorf("rejection took %v, want under 50ms", elapsed)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 16 {
+		t.Errorf("rejection allocated %.1f MB, want under 16 MB", mb)
 	}
 }
