@@ -12,7 +12,7 @@
 //	pflow-bench loc                 # §5.3 implementation-effort comparison
 //	pflow-bench ablations           # DESIGN.md ablation studies
 //	pflow-bench ae                  # the paper's artifact-evaluation checks (A.3)
-//	pflow-bench serve               # sharded job-server load benchmark (BENCH_PR9.json)
+//	pflow-bench serve               # job-server load benchmark (BENCH_SERVE.json)
 //	pflow-bench all                 # everything above (except serve)
 //
 // Flags adjust the scales (defaults mirror the paper where laptop-feasible:
@@ -36,7 +36,7 @@ func main() {
 		caseCRanks = flag.Int("casec-ranks", 8, "case C rank count (paper: 8)")
 		compRanks  = flag.Int("compare-ranks", 128, "comparison rank count (paper: 128)")
 		locFile    = flag.String("loc-example", "examples/scalability/main.go", "example file for the LoC count")
-		serveOut   = flag.String("serve-out", "BENCH_PR9.json", "output path for the serve load benchmark")
+		serveOut   = flag.String("serve-out", "BENCH_SERVE.json", "output path for the serve load benchmark")
 		serveJobs  = flag.Int("serve-jobs", 300, "jobs per serve benchmark scenario")
 	)
 	flag.Parse()

@@ -12,19 +12,19 @@ import (
 	"perflow/internal/serve"
 )
 
-// serveBench is the BENCH_PR9.json document: the sharded job server's
+// serveBench is the serve benchmark document: the job server's worker
 // scaling, fairness and byte-identity measurements on this host.
 type serveBench struct {
 	GeneratedBy string `json:"generated_by"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	// Notes explain how to read the numbers on this host class.
 	Notes []string `json:"notes"`
-	// Speedup4x is miss-4shards over miss-1shard throughput on the
+	// Speedup4x is miss-4workers over miss-1worker throughput on the
 	// latency-injected store (the controlled scaling measurement).
-	Speedup4x float64 `json:"speedup_4shards_vs_1shard"`
+	Speedup4x float64 `json:"speedup_4workers_vs_1worker"`
 	// DiskSpeedup4x is the same pair on the real disk store — honest but
 	// noisy on shared hosts.
-	DiskSpeedup4x float64 `json:"disk_speedup_4shards_vs_1shard"`
+	DiskSpeedup4x float64 `json:"disk_speedup_4workers_vs_1worker"`
 	// FairnessRatio is the fairness scenario's max/median tenant p99
 	// (acceptance bar: <= 3).
 	FairnessRatio float64 `json:"fairness_ratio"`
@@ -35,11 +35,11 @@ type serveBench struct {
 	Scenarios  []*loadtest.Result `json:"scenarios"`
 }
 
-// runServeBench measures the sharded serve dispatcher end to end and
-// writes BENCH_PR9.json. Three experiments:
+// runServeBench measures the serve dispatcher end to end and writes the
+// result document to path. Three experiments:
 //
-//  1. Shard scaling on a store with a fixed 2ms commit latency (a stand-in
-//     for a shared remote store): 1 shard vs 4 shards on a pure cache-miss
+//  1. Worker scaling on a store with a fixed 2ms commit latency (a stand-in
+//     for a shared remote store): 1 worker vs 4 workers on a pure cache-miss
 //     workload, driven through the embedded API so the dispatcher — not an
 //     HTTP client — is what's measured.
 //  2. The same pair on the real disk store, reported as-is: on a one-core
@@ -55,7 +55,7 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 		GeneratedBy: "pflow-bench serve",
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Notes: []string{
-			"speedup_4shards_vs_1shard uses a store with a fixed 2ms commit latency injected per Put (modeling a shared remote store); commit latency is the wait independent shard workers overlap, and on this host class it is the only repeatable way to measure that overlap.",
+			"speedup_4workers_vs_1worker uses a store with a fixed 2ms commit latency injected per Put (modeling a shared remote store); commit latency is the wait concurrent workers overlap, and on this host class it is the only repeatable way to measure that overlap.",
 			"disk_* scenarios run against the real fsync-durable disk store and are reported unadjusted; on one-core shared hosts they are bound by device noise, not by the dispatcher.",
 			"every scenario executes a pure cache-miss workload (unique programs), and sampled results are verified byte-identical to the single-process pipeline.",
 		},
@@ -77,9 +77,8 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 		return res, nil
 	}
 
-	// Experiment 1: shard scaling against commit latency.
+	// Experiment 1: worker scaling against commit latency.
 	scaling := loadtest.Config{
-		Workers:      1,
 		QueueDepth:   64,
 		Jobs:         jobs,
 		Concurrency:  16,
@@ -89,14 +88,14 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 		Inproc:       true,
 		JobTimeout:   time.Minute,
 	}
-	scaling.Shards, scaling.ProgramSalt = 1, 9101
-	miss1, err := run("miss-1shard", scaling)
+	scaling.Workers, scaling.ProgramSalt = 1, 9101
+	miss1, err := run("miss-1worker", scaling)
 	if err != nil {
 		return err
 	}
-	scaling.Shards, scaling.ProgramSalt = 4, 9104
+	scaling.Workers, scaling.ProgramSalt = 4, 9104
 	scaling.VerifySample = 8
-	miss4, err := run("miss-4shards", scaling)
+	miss4, err := run("miss-4workers", scaling)
 	if err != nil {
 		return err
 	}
@@ -113,14 +112,14 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 	disk := scaling
 	disk.StoreLatency, disk.VerifySample = 0, 0
 	disk.Store = "disk:" + diskDir + "/s1"
-	disk.Shards, disk.ProgramSalt = 1, 9201
-	disk1, err := run("disk-1shard", disk)
+	disk.Workers, disk.ProgramSalt = 1, 9201
+	disk1, err := run("disk-1worker", disk)
 	if err != nil {
 		return err
 	}
 	disk.Store = "disk:" + diskDir + "/s4"
-	disk.Shards, disk.ProgramSalt = 4, 9204
-	disk4, err := run("disk-4shards", disk)
+	disk.Workers, disk.ProgramSalt = 4, 9204
+	disk4, err := run("disk-4workers", disk)
 	if err != nil {
 		return err
 	}
@@ -130,8 +129,7 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 
 	// Experiment 3: weighted-fair multi-tenant load over HTTP.
 	fair, err := run("fairness", loadtest.Config{
-		Shards:     4,
-		Workers:    1,
+		Workers:    4,
 		QueueDepth: 64,
 		Tenants: []serve.TenantConfig{
 			{Name: "alpha", Key: "bench-alpha", Quota: 24, Weight: 3},
@@ -157,7 +155,7 @@ func runServeBench(out io.Writer, path string, jobs int) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  speedup 4-shard/1-shard: %.2fx (disk: %.2fx), fairness %.2f, verified %d, mismatched %d\n",
+	fmt.Fprintf(out, "  speedup 4-worker/1-worker: %.2fx (disk: %.2fx), fairness %.2f, verified %d, mismatched %d\n",
 		doc.Speedup4x, doc.DiskSpeedup4x, doc.FairnessRatio, doc.Verified, doc.Mismatched)
 	fmt.Fprintf(out, "  wrote %s\n", path)
 	return nil

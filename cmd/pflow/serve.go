@@ -25,9 +25,9 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
 		addr          = fs.String("addr", ":7077", "listen address")
-		shards        = fs.Int("shards", 1, "worker shards; jobs are routed by hashing their content address")
-		workers       = fs.Int("workers", runtime.GOMAXPROCS(0), "analysis workers per shard")
-		queueDepth    = fs.Int("queue", 64, "per-shard queue depth; submissions beyond it get 429")
+		shards        = fs.Int("shards", 1, "deprecated: multiplies -workers and -queue")
+		workers       = fs.Int("workers", runtime.GOMAXPROCS(0), "analysis workers")
+		queueDepth    = fs.Int("queue", 64, "queue depth across all tenants; submissions beyond it get 429")
 		storeSpec     = fs.String("store", "memory", `result store: "memory", "disk:<dir>" (shared, survives restarts), or "chaos:seed=N,err=P,torn=P,lat=D:<inner>" (deterministic fault injection for resilience testing)`)
 		cacheMB       = fs.Int("cache-mb", 64, "result store byte budget in MiB")
 		authFile      = fs.String("auth-file", "", `tenant declarations JSON ({"tenants": [{"name", "key", "quota", "weight"}]}); empty disables auth`)
@@ -42,10 +42,24 @@ func runServe(args []string) {
 		breakerWait   = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before probing the store again")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: pflow serve [-addr :7077] [-shards N] [-workers N] [-queue N] [-store memory|disk:DIR|chaos:...:DIR] [-cache-mb N] [-journal DIR] [-retry-max N] [-breaker-threshold N] [-breaker-cooldown D] [-auth-file F] [-audit-interval D] [-job-timeout D] [-pprof]")
-		fs.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "usage: pflow serve [-addr :7077] [-workers N] [-queue N] [-store memory|disk:DIR|chaos:...:DIR] [-cache-mb N] [-journal DIR] [-retry-max N] [-breaker-threshold N] [-breaker-cooldown D] [-auth-file F] [-audit-interval D] [-job-timeout D] [-pprof]")
+		// -shards stays parseable for old command lines but is not listed.
+		listed := flag.NewFlagSet("serve", flag.ContinueOnError)
+		fs.VisitAll(func(f *flag.Flag) {
+			if f.Name != "shards" {
+				listed.Var(f.Value, f.Name, f.Usage)
+			}
+		})
+		listed.SetOutput(fs.Output())
+		listed.PrintDefaults()
 	}
 	fs.Parse(args)
+	// The deprecated -shards N keeps an old command line's totals, as
+	// serve.Options.Shards does; folding it here lets the banner show them.
+	if *shards > 1 {
+		*workers *= *shards
+		*queueDepth *= *shards
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "pflow serve:", err)
@@ -65,7 +79,6 @@ func runServe(args []string) {
 	}
 
 	srv, err := serve.NewServer(serve.Options{
-		Shards:           *shards,
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,
 		Store:            st,
@@ -95,8 +108,8 @@ func runServe(args []string) {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "pflow serve: listening on %s (%d shards x %d workers, queue %d, store %s, %d tenants)\n",
-		*addr, *shards, *workers, *queueDepth, *storeSpec, len(tenants))
+	fmt.Fprintf(os.Stderr, "pflow serve: listening on %s (%d workers, queue %d, store %s, %d tenants)\n",
+		*addr, *workers, *queueDepth, *storeSpec, len(tenants))
 
 	select {
 	case err := <-errc:

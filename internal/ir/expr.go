@@ -225,6 +225,26 @@ func (p Peer) Resolve(rank, nranks int) int {
 	}
 }
 
+// Inverse returns the pattern that maps a rank back to the rank whose send
+// under p lands on it: for every rank r with q = p.Resolve(r, n) >= 0,
+// p.Inverse().Resolve(q, n) == r. It is the receive half of a Sendrecv.
+// Right and Left invert each other, the four halo2d directions pair up
+// (+x/-x, +y/-y), and Const and Xor are their own inverse. A halo2d
+// direction outside 0..3 stays as it is, so it stays unresolved.
+func (p Peer) Inverse() Peer {
+	switch p.Kind {
+	case PeerRight:
+		return Peer{Kind: PeerLeft, Arg: p.Arg}
+	case PeerLeft:
+		return Peer{Kind: PeerRight, Arg: p.Arg}
+	case PeerHalo2D:
+		if p.Arg >= 0 && p.Arg < 4 {
+			return Peer{Kind: PeerHalo2D, Arg: p.Arg ^ 1}
+		}
+	}
+	return p
+}
+
 // String renders the peer pattern for reports and the DSL.
 func (p Peer) String() string {
 	switch p.Kind {

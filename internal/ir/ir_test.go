@@ -309,6 +309,38 @@ func TestPeerXorSymmetricProperty(t *testing.T) {
 	}
 }
 
+// TestPeerInverse checks that Inverse undoes Resolve: the inverse pattern
+// maps every resolved peer back to the rank that sent to it.
+func TestPeerInverse(t *testing.T) {
+	peers := []Peer{
+		{Kind: PeerRight}, {Kind: PeerRight, Arg: 3},
+		{Kind: PeerLeft}, {Kind: PeerLeft, Arg: 5},
+		{Kind: PeerHalo2D, Arg: 0}, {Kind: PeerHalo2D, Arg: 1},
+		{Kind: PeerHalo2D, Arg: 2}, {Kind: PeerHalo2D, Arg: 3},
+		{Kind: PeerXor, Arg: 1}, {Kind: PeerXor, Arg: 6},
+	}
+	sizes := []int{64}
+	for n := 1; n <= 17; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, p := range peers {
+		for _, n := range sizes {
+			for r := 0; r < n; r++ {
+				q := p.Resolve(r, n)
+				if q < 0 {
+					continue // xor mask past the communicator
+				}
+				if back := p.Inverse().Resolve(q, n); back != r {
+					t.Errorf("%v at %d ranks: rank %d -> %d, inverse %v -> %d", p, n, r, q, p.Inverse(), back)
+				}
+			}
+		}
+	}
+	if p := (Peer{Kind: PeerHalo2D, Arg: 7}); p.Inverse() != p || p.Inverse().Resolve(0, 16) >= 0 {
+		t.Errorf("out-of-range halo2d inverse = %v, want it unchanged and unresolved", p.Inverse())
+	}
+}
+
 // Property: Expr.Value is monotone in Base for fixed modifiers (sanity that
 // scaling terms never flip sign).
 func TestExprMonotoneBaseProperty(t *testing.T) {

@@ -66,7 +66,7 @@ func rankComms(prog *ir.Program, rank, nranks int) []commOp {
 				}
 				if x.Op == ir.CommSendrecv {
 					emit(ir.CommIsend, x.Peer)
-					emit(ir.CommIrecv, symmetricPeer(x.Peer))
+					emit(ir.CommIrecv, x.Peer.Inverse())
 				} else {
 					emit(x.Op, x.Peer)
 				}
@@ -125,24 +125,4 @@ func modelComms(m *sdf.Model, rank, nranks int) []commOp {
 		out = append(out, o)
 	}
 	return out
-}
-
-// symmetricPeer inverts a peer pattern, mirroring mpisim's
-// symmetricPartner: the receive half of a Sendrecv comes from the rank
-// whose send targets us. Right and Left invert each other, the four
-// halo2d directions pair up (+x/-x, +y/-y), and Const and Xor are their
-// own inverse.
-func symmetricPeer(p ir.Peer) ir.Peer {
-	switch p.Kind {
-	case ir.PeerRight:
-		return ir.Peer{Kind: ir.PeerLeft, Arg: p.Arg}
-	case ir.PeerLeft:
-		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}
-	case ir.PeerHalo2D:
-		inv := [...]int{1, 0, 3, 2}
-		if p.Arg >= 0 && p.Arg < len(inv) {
-			return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv[p.Arg]}
-		}
-	}
-	return p
 }

@@ -44,8 +44,7 @@ type CrashConfig struct {
 	// KillAfterDone triggers the kill once this many jobs were observed
 	// done by the client (must be < Jobs so work is in flight).
 	KillAfterDone int
-	// Shards / Workers / QueueDepth mirror serve.Options.
-	Shards     int
+	// Workers / QueueDepth mirror serve.Options.
 	Workers    int
 	QueueDepth int
 	// ChaosErr / ChaosTorn enable the fault-injecting store wrapper for
@@ -94,11 +93,8 @@ func (c CrashConfig) withDefaults() CrashConfig {
 	if c.KillAfterDone >= c.Jobs {
 		c.KillAfterDone = c.Jobs - 1
 	}
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = 4
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -135,7 +131,7 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 		return nil, err
 	}
 	srvA, err := serve.NewServer(serve.Options{
-		Shards: cfg.Shards, Workers: cfg.Workers, QueueDepth: cfg.QueueDepth,
+		Workers: cfg.Workers, QueueDepth: cfg.QueueDepth,
 		Store: stA, JournalDir: cfg.JournalDir,
 		MaxJobHistory: 2*cfg.Jobs + 16,
 	})
@@ -226,7 +222,7 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	}
 	executedInB := &sync.Map{} // key -> true
 	srvB, err := serve.NewServer(serve.Options{
-		Shards: cfg.Shards, Workers: cfg.Workers, QueueDepth: cfg.QueueDepth,
+		Workers: cfg.Workers, QueueDepth: cfg.QueueDepth,
 		Store: stB, JournalDir: cfg.JournalDir,
 		MaxJobHistory: 4*cfg.Jobs + 16,
 		OnExecute:     func(jobID, key string) { executedInB.Store(key, true) },

@@ -18,7 +18,7 @@ func TestCrashRestart(t *testing.T) {
 				StoreDir:   t.TempDir(),
 				JournalDir: t.TempDir(),
 				Jobs:       24, KillAfterDone: 6,
-				Shards: 2, Workers: 2, QueueDepth: 64,
+				Workers: 4, QueueDepth: 64,
 				VerifySample: 4,
 			})
 			if err != nil {
@@ -55,7 +55,7 @@ func TestCrashRestartUnderChaos(t *testing.T) {
 		StoreDir:   t.TempDir(),
 		JournalDir: t.TempDir(),
 		Jobs:       24, KillAfterDone: 6,
-		Shards: 2, Workers: 2, QueueDepth: 64,
+		Workers: 4, QueueDepth: 64,
 		ChaosErr: 0.05, ChaosTorn: 0.01,
 		VerifySample: 4,
 	})
@@ -79,7 +79,7 @@ func TestChaosStoreSuccessRate(t *testing.T) {
 	res, err := Run(Config{
 		Scenario: "chaos-success",
 		Store:    "chaos:seed=7,err=0.05:memory",
-		Shards:   2, Workers: 2, QueueDepth: 64,
+		Workers:  4, QueueDepth: 64,
 		Jobs: jobs, Concurrency: 4, Trips: 1,
 		SkipLint: true,
 		Inproc:   true,

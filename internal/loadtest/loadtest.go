@@ -1,7 +1,7 @@
 // Package loadtest drives a serve.Server the way a fleet of tenant
 // clients would — concurrent submit/poll loops over unique programs — and
-// measures what the sharded dispatcher is supposed to deliver: throughput
-// that scales with shards, per-tenant latency fairness under weighted-fair
+// measures what the dispatcher is supposed to deliver: throughput that
+// scales with workers, per-tenant latency fairness under weighted-fair
 // dequeue, and results byte-identical to the single-process pipeline.
 //
 // It is both the CI smoke gate (TestLoadSmoke) and the generator behind
@@ -31,9 +31,8 @@ import (
 type Config struct {
 	// Scenario names the run in reports.
 	Scenario string
-	// Shards / Workers / QueueDepth mirror serve.Options (Workers is per
-	// shard).
-	Shards     int
+	// Workers / QueueDepth mirror serve.Options: total workers and total
+	// backlog bound.
 	Workers    int
 	QueueDepth int
 	// Store is a store spec ("memory" or "disk:<dir>"); empty means memory.
@@ -54,13 +53,13 @@ type Config struct {
 	ProgramSalt int
 	// SkipLint sets SkipLint on every generated request, dropping the
 	// in-run diagnostics pass (the synchronous submit-time lint gate still
-	// runs). The shard-scaling scenarios use it to keep per-job CPU small
-	// relative to the store's device time — the part shards can overlap.
+	// runs). The worker-scaling scenarios use it to keep per-job CPU small
+	// relative to the store's device time — the part workers can overlap.
 	SkipLint bool
 	// StoreLatency injects a fixed device-commit latency into every store
 	// Put, modeling a shared remote store (NFS, object storage). The
-	// shard-scaling scenarios use it because commit latency is exactly what
-	// independent shard workers overlap, and a local disk's fsync time is
+	// worker-scaling scenarios use it because commit latency is exactly what
+	// concurrent workers overlap, and a local disk's fsync time is
 	// too noisy on shared hosts to measure that overlap repeatably.
 	StoreLatency time.Duration
 	// VerifySample is how many finished jobs to re-execute through the
@@ -70,7 +69,7 @@ type Config struct {
 	JobTimeout time.Duration
 	// Inproc drives the server through its embedded Submit/Await API
 	// instead of HTTP. This measures the dispatcher and store themselves —
-	// the sharded subsystem under test — without per-request HTTP client
+	// the subsystem under test — without per-request HTTP client
 	// cost, which on a small host otherwise dominates the profile.
 	Inproc bool
 }
@@ -89,7 +88,6 @@ type TenantResult struct {
 // Result is one scenario's measurements.
 type Result struct {
 	Scenario    string  `json:"scenario"`
-	Shards      int     `json:"shards"`
 	Workers     int     `json:"workers"`
 	Store       string  `json:"store"`
 	Jobs        int     `json:"jobs"`
@@ -116,9 +114,9 @@ type Result struct {
 // constant so every job has a distinct content address.
 func program(salt, i, trips int) string {
 	if trips <= 1 {
-		// Minimal shape for the shard-scaling scenarios: a single compute
+		// Minimal shape for the worker-scaling scenarios: a single compute
 		// statement keeps parse/lint/simulate CPU — serialized on one core —
-		// small next to the store's device time, which is what shards
+		// small next to the store's device time, which is what workers
 		// overlap.
 		return fmt.Sprintf(`program load%d_%d
 func main file load.c line 1
@@ -146,9 +144,6 @@ func request(cfg Config, i int) serve.SubmitRequest {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -181,7 +176,6 @@ func Run(cfg Config) (*Result, error) {
 		st = &latencyStore{Store: st, d: cfg.StoreLatency}
 	}
 	srv, err := serve.NewServer(serve.Options{
-		Shards:     cfg.Shards,
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
 		Store:      st,
@@ -255,7 +249,6 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{
 		Scenario:       cfg.Scenario,
-		Shards:         cfg.Shards,
 		Workers:        cfg.Workers,
 		Store:          storeName(cfg.Store),
 		Jobs:           cfg.Jobs,
@@ -326,8 +319,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // latencyStore injects a fixed commit latency into Put, standing in for a
-// shared remote store. Only Put sleeps: commit latency is the wait shard
-// workers overlap, while read misses must stay cheap for the submit path.
+// shared remote store. Only Put sleeps: commit latency is the wait
+// concurrent workers overlap, while read misses must stay cheap for the submit path.
 type latencyStore struct {
 	store.Store
 	d time.Duration

@@ -7,15 +7,14 @@ import (
 	"perflow/internal/serve"
 )
 
-// TestLoadSmoke is the CI load gate: 200 jobs across 4 shards on the
+// TestLoadSmoke is the CI load gate: 200 jobs across 4 workers on the
 // memory store, multi-tenant, with zero tolerated errors and a sampled
 // byte-identity check against the single-process pipeline. It runs under
 // -race in the load-smoke CI stage.
 func TestLoadSmoke(t *testing.T) {
 	res, err := Run(Config{
 		Scenario:   "ci-smoke",
-		Shards:     4,
-		Workers:    1,
+		Workers:    4,
 		QueueDepth: 64,
 		Tenants: []serve.TenantConfig{
 			{Name: "alpha", Key: "key-alpha", Quota: 32, Weight: 2},
@@ -58,8 +57,7 @@ func TestLoadDiskStore(t *testing.T) {
 	dir := t.TempDir()
 	first, err := Run(Config{
 		Scenario:    "disk-miss",
-		Shards:      4,
-		Workers:     1,
+		Workers:     4,
 		QueueDepth:  64,
 		Store:       "disk:" + dir,
 		Jobs:        60,
@@ -74,8 +72,7 @@ func TestLoadDiskStore(t *testing.T) {
 	// cache hit adopted from the files the first server persisted.
 	second, err := Run(Config{
 		Scenario:    "disk-hit",
-		Shards:      4,
-		Workers:     1,
+		Workers:     4,
 		QueueDepth:  64,
 		Store:       "disk:" + dir,
 		Jobs:        60,

@@ -362,7 +362,7 @@ func (f *flattener) pushLoop(x *ir.Loop, loopCtx trace.CtxID, trips, mult float6
 // ops carry the Sendrecv node identity.
 func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 	sendPeer := x.Peer.Resolve(f.rank, f.nranks)
-	recvPeer := symmetricPartner(x.Peer, f.rank, f.nranks)
+	recvPeer := x.Peer.Inverse().Resolve(f.rank, f.nranks)
 	if sendPeer < 0 || recvPeer < 0 {
 		return fmt.Errorf("mpisim: rank %d: MPI_Sendrecv at %s has no resolvable peer", f.rank, x.Debug())
 	}
@@ -380,24 +380,6 @@ func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 		}
 	}
 	return nil
-}
-
-// symmetricPartner returns the rank whose send lands here under the same
-// peer pattern: the partner q with Resolve(q) == rank. For the shift and
-// torus patterns that is the inverse shift; XOR and constant patterns are
-// their own inverse.
-func symmetricPartner(p ir.Peer, rank, nranks int) int {
-	switch p.Kind {
-	case ir.PeerRight:
-		return ir.Peer{Kind: ir.PeerLeft, Arg: p.Arg}.Resolve(rank, nranks)
-	case ir.PeerLeft:
-		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}.Resolve(rank, nranks)
-	case ir.PeerHalo2D:
-		inv := map[int]int{0: 1, 1: 0, 2: 3, 3: 2}
-		return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv[p.Arg]}.Resolve(rank, nranks)
-	default:
-		return p.Resolve(rank, nranks)
-	}
 }
 
 func (f *flattener) nodes(ns []ir.Node, ctx trace.CtxID, mult float64) error {

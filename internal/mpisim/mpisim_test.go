@@ -753,7 +753,7 @@ func (f *refFlattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	case *ir.Comm:
 		if x.Op == ir.CommSendrecv {
 			sendPeer := x.Peer.Resolve(f.rank, f.nranks)
-			recvPeer := symmetricPartner(x.Peer, f.rank, f.nranks)
+			recvPeer := x.Peer.Inverse().Resolve(f.rank, f.nranks)
 			if sendPeer < 0 || recvPeer < 0 {
 				return fmt.Errorf("mpisim: rank %d: MPI_Sendrecv at %s has no resolvable peer", f.rank, x.Debug())
 			}

@@ -161,7 +161,7 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 			}
 			if x.Op == ir.CommSendrecv {
 				emit(ir.CommIsend, x.Peer)
-				emit(ir.CommIrecv, SymmetricPeer(x.Peer))
+				emit(ir.CommIrecv, x.Peer.Inverse())
 			} else {
 				emit(x.Op, x.Peer)
 			}
@@ -317,24 +317,4 @@ func (c *CostItem) Value(rank, nranks int) float64 {
 		}
 	}
 	return c.eval(rank, nranks) * mult
-}
-
-// SymmetricPeer inverts a peer pattern, mirroring the simulator's
-// symmetricPartner: the receive half of a Sendrecv comes from the rank
-// whose send targets us. Right and Left invert each other, the four halo2d
-// directions pair up (+x/-x, +y/-y), and Const and Xor are their own
-// inverse.
-func SymmetricPeer(p ir.Peer) ir.Peer {
-	switch p.Kind {
-	case ir.PeerRight:
-		return ir.Peer{Kind: ir.PeerLeft, Arg: p.Arg}
-	case ir.PeerLeft:
-		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}
-	case ir.PeerHalo2D:
-		inv := [...]int{1, 0, 3, 2}
-		if p.Arg >= 0 && p.Arg < len(inv) {
-			return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv[p.Arg]}
-		}
-	}
-	return p
 }

@@ -21,7 +21,6 @@ var updateServeGolden = flag.Bool("update", false, "rewrite serve golden files")
 // state in the transcript is deterministic.
 func TestTenantGolden(t *testing.T) {
 	s, ts := newTestServer(t, Options{
-		Shards:     1,
 		Workers:    1,
 		QueueDepth: 4,
 		Tenants: []TenantConfig{

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // maxBodyBytes bounds a submission body (inline DSL programs included).
@@ -106,11 +106,12 @@ func (s *Server) visibleTo(j *Job, tn *tenantState) bool {
 	return !s.tenants.enabled || j.Tenant == tn.cfg.Name
 }
 
-// handleSubmit implements POST /v1/jobs: authenticate, validate and lint
-// synchronously, serve repeat submissions straight from the shared result
-// store, otherwise charge the tenant's quota and enqueue on the shard the
-// content address hashes to — or push back with 429 (queue full or quota
-// exhausted, distinguished by envelope code).
+// handleSubmit implements POST /v1/jobs: authenticate, then admit — a
+// repeat submission is served straight from the shared result store (200),
+// a fresh one is validated and linted synchronously (422 on rejection),
+// charged to the tenant's quota and queued (202), or pushed back with 429
+// (queue full, quota exhausted or deadline unmeetable, distinguished by
+// envelope code).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn *tenantState) {
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -119,69 +120,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn *tenant
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	req = req.withDefaults()
 
-	// Content-addressed fast path: a hit can only exist for a request that
-	// previously validated, linted clean, and ran to completion, so the
-	// whole pipeline is skipped — repeat submissions are O(1), across
-	// tenants and (on the disk store) across replicas and restarts.
-	key := req.Key()
-	if cached, ok := s.cache.Get(key); ok {
-		s.m.syncCache(s.cache.Stats())
-		s.mu.Lock()
-		s.seq++
-		job := &Job{
-			ID:         fmt.Sprintf("j-%06d", s.seq),
-			Key:        key,
-			Tenant:     tn.cfg.Name,
-			Req:        req,
-			state:      StateDone,
-			cached:     true,
-			resultJSON: cached,
-			submitted:  time.Now(),
-			finished:   time.Now(),
-			done:       make(chan struct{}),
-		}
-		close(job.done)
-		s.registerLocked(job)
-		s.m.jobsDone.Add(1)
-		s.m.tenantCompleted(tn.cfg.Name)
-		view := s.viewLocked(job, true)
-		s.mu.Unlock()
+	job, view, err := s.admit(req, tn, nil)
+	var invalid *invalidRequest
+	switch {
+	case err == nil && job.cached:
 		writeJSON(w, http.StatusOK, view)
 		return
-	}
-	s.m.syncCache(s.cache.Stats())
-
-	req, diags, err := s.validate(req)
-	if err != nil {
-		if len(diags) > 0 {
-			writeError(w, http.StatusUnprocessableEntity, ErrCodeLintRejected, err.Error(), lintDetails(diags)...)
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, view)
+		return
+	case errors.As(err, &invalid):
+		if len(invalid.diags) > 0 {
+			writeError(w, http.StatusUnprocessableEntity, ErrCodeLintRejected, err.Error(), lintDetails(invalid.diags)...)
 		} else {
 			writeError(w, http.StatusUnprocessableEntity, ErrCodeInvalidRequest, err.Error())
 		}
 		return
 	}
 
-	job, err := s.submit(req, tn)
 	switch err {
-	case nil:
-		writeJSON(w, http.StatusAccepted, s.view(job, false))
-	case ErrQueueFull:
+	case ErrQueueFull, ErrQuotaExceeded, ErrDeadlineUnmeetable, ErrDraining:
 		// Backpressure: tell the client when a slot is plausibly free
 		// instead of accepting unbounded work.
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(tn.cfg.Name, key)))
+		retry := s.retryAfterSeconds(tn.cfg.Name, req.withDefaults().Key())
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
+	}
+	switch err {
+	case ErrQueueFull:
 		writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "job queue full")
 	case ErrQuotaExceeded:
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(tn.cfg.Name, key)))
 		writeError(w, http.StatusTooManyRequests, ErrCodeQuotaExceeded,
 			fmt.Sprintf("tenant %q has %d jobs in flight (quota %d)", tn.cfg.Name, tn.cfg.Quota, tn.cfg.Quota))
 	case ErrDeadlineUnmeetable:
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(tn.cfg.Name, key)))
 		writeError(w, http.StatusTooManyRequests, ErrCodeDeadline,
 			"queue backlog exceeds the request's timeout budget")
 	case ErrDraining:
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds(tn.cfg.Name, key)))
 		writeError(w, http.StatusServiceUnavailable, ErrCodeDraining, "server draining")
 	default:
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err.Error())

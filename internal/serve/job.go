@@ -144,7 +144,6 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 
-	shard     *shard             // execution lane the job was enqueued on
 	cancel    context.CancelFunc // cancels the job's run context
 	runParent context.Context    // parent context the worker runs under
 	done      chan struct{}      // closed on any terminal state
@@ -192,7 +191,7 @@ const (
 	ErrCodeUnauthorized    = "unauthorized"        // 401: missing/unknown API key
 	ErrCodeInvalidRequest  = "invalid_request"     // 422: shape/limits/faults/policy
 	ErrCodeLintRejected    = "lint_rejected"       // 422: static diagnostics gate
-	ErrCodeQueueFull       = "queue_full"          // 429: shard queue backpressure
+	ErrCodeQueueFull       = "queue_full"          // 429: job queue backpressure
 	ErrCodeQuotaExceeded   = "quota_exceeded"      // 429: tenant in-flight quota
 	ErrCodeDeadline        = "deadline_unmeetable" // 429: backlog exceeds the request's timeout budget
 	ErrCodeDraining        = "draining"            // 503

@@ -72,18 +72,17 @@ func (h *latencyHist) String() string {
 
 // metrics aggregates every serving counter the /metrics endpoint exposes.
 type metrics struct {
-	jobsSubmitted        expvar.Int // accepted onto a shard queue (cache hits excluded)
-	jobsQueued           expvar.Int // gauge: waiting across all shard queues now
+	jobsSubmitted        expvar.Int // accepted onto the queue (cache hits excluded)
+	jobsQueued           expvar.Int // gauge: waiting in the queue now
 	jobsRunning          expvar.Int // gauge: executing now
 	jobsDone             expvar.Int
 	jobsFailed           expvar.Int
 	jobsCanceled         expvar.Int
-	jobsRejected         expvar.Int // 429 shard-queue backpressure rejections
+	jobsRejected         expvar.Int // 429 queue backpressure rejections
 	jobsQuotaRejected    expvar.Int // 429 tenant-quota rejections
 	jobsDeadlineRejected expvar.Int // 429 deadline-budget admission rejections
 	jobsRetried          expvar.Int // execution attempts retried after a transient failure
 	jobsRecovered        expvar.Int // jobs re-enqueued from the journal after a restart
-	shards               expvar.Int // gauge: configured shard count
 
 	cacheHits      expvar.Int
 	cacheMisses    expvar.Int
@@ -138,7 +137,6 @@ func newMetrics() *metrics {
 	m.top.Set("jobs_deadline_rejected", &m.jobsDeadlineRejected)
 	m.top.Set("jobs_retried", &m.jobsRetried)
 	m.top.Set("jobs_recovered", &m.jobsRecovered)
-	m.top.Set("shards", &m.shards)
 	m.top.Set("cache_hits", &m.cacheHits)
 	m.top.Set("cache_misses", &m.cacheMisses)
 	m.top.Set("cache_evictions", &m.cacheEvictions)

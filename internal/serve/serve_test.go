@@ -246,6 +246,33 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	}
 }
 
+// TestEmbeddedCacheHitSyncsMetrics checks that a repeat Submit is answered
+// from the store as a done job and leaves the published metric tree (read
+// without going through /metrics, which syncs on its own) counting the hit.
+func TestEmbeddedCacheHitSyncsMetrics(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1})
+	req := SubmitRequest{AnalysisRequest: perflow.AnalysisRequest{Workload: "ep", Analysis: "profile", Ranks: 4}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, wantCached := range []bool{false, true} {
+		j, err := s.Submit(req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Await(ctx, j)
+		if err != nil || v.State != StateDone || v.Cached != wantCached {
+			t.Fatalf("submit %d: state %s cached %v err %v, want done cached %v", i, v.State, v.Cached, err, wantCached)
+		}
+	}
+	var m map[string]any
+	if err := json.Unmarshal([]byte(s.Metrics().String()), &m); err != nil {
+		t.Fatal(err)
+	}
+	if hits := m["cache_hits"].(float64); hits != 1 {
+		t.Errorf("cache_hits = %v, want 1", hits)
+	}
+}
+
 // TestLintReject422 checks synchronous validation: a program with an
 // error-severity static finding is refused before any simulation, with the
 // structured diagnostics in the response body.

@@ -1,14 +1,14 @@
 // Package serve implements the PerFlow analysis service behind the
 // `pflow serve` subcommand: a long-running HTTP server that accepts DSL
 // programs or named workloads plus run options, validates and lints them
-// synchronously, and executes accepted jobs on a pool of worker shards.
+// synchronously, and executes accepted jobs on a pool of workers.
 //
-// The service is multi-tenant and sharded:
+// The service is multi-tenant:
 //
-//   - Execution is split across Options.Shards worker shards; a job's
-//     shard is chosen by hashing its content address, and each shard owns
-//     a bounded queue with per-tenant FIFOs drained by weighted-fair
-//     round-robin, so one hot tenant cannot starve the rest.
+//   - Accepted jobs wait in one bounded queue with per-tenant FIFOs,
+//     drained by Options.Workers workers with weighted-fair round-robin,
+//     so one hot tenant cannot starve the rest and no job waits behind a
+//     busy worker while another is idle.
 //   - Results live behind the pluggable internal/serve/store interface
 //     (in-memory LRU, or CRC-validated content-addressed disk files that
 //     replicas on one host share and that survive restarts).
@@ -20,7 +20,7 @@
 //
 // The service exists because the one-shot CLI re-parses, re-lints,
 // re-simulates and re-builds the PAG on every invocation; wrapping the same
-// perflow.RunCtx/AnalyzeCtx pipeline in sharded queues plus a shared cache
+// perflow.RunCtx/AnalyzeCtx pipeline in a job queue plus a shared cache
 // turns the batch tool into a serving core (cf. Pipeflow, arXiv
 // 2202.00717, and the continuous-analysis argument of arXiv 2401.13150).
 package serve
@@ -47,15 +47,16 @@ import (
 
 // Options parameterizes a Server.
 type Options struct {
-	// Shards is the number of worker shards; jobs are routed by hashing
-	// their content address (default 1).
-	Shards int
-	// Workers is the worker count per shard (default 4), so the total
-	// execution parallelism is Shards*Workers.
+	// Workers is the total number of jobs executing at once (default 4).
 	Workers int
-	// QueueDepth bounds the jobs waiting in each shard's queue;
+	// QueueDepth bounds the total jobs waiting across all tenants;
 	// submissions beyond it are rejected with 429 (default 64).
 	QueueDepth int
+	// Deprecated: Shards is kept for configurations written when the
+	// server split its queue into lanes. A value N > 1 multiplies Workers
+	// and QueueDepth by N, so such a configuration keeps its total workers
+	// and backlog bound.
+	Shards int
 	// Store is the result store; nil uses an in-memory LRU of CacheBytes.
 	// The server owns the store and closes it on Drain.
 	Store store.Store
@@ -110,14 +111,15 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
+	}
+	if o.Shards > 1 {
+		o.Workers *= o.Shards
+		o.QueueDepth *= o.Shards
 	}
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 64 << 20
@@ -152,15 +154,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the analysis service: sharded bounded job queues, per-shard
-// worker pools running the perflow pipeline, a pluggable content-addressed
-// result store, tenant auth/quotas, and the audit loop.
+// Server is the analysis service: one bounded job queue, a worker pool
+// running the perflow pipeline, a pluggable content-addressed result
+// store, tenant auth/quotas, and the audit loop.
 type Server struct {
 	opts    Options
 	cache   *resultCache
 	m       *metrics
 	mux     *http.ServeMux
-	shards  []*shard
+	queue   *queue
 	tenants *tenantRegistry
 	audit   *auditState
 
@@ -170,7 +172,7 @@ type Server struct {
 	// jnl is the write-ahead job journal; nil when JournalDir is unset.
 	jnl *journal.Journal
 
-	wg          sync.WaitGroup // shard workers
+	wg          sync.WaitGroup // workers
 	auditWG     sync.WaitGroup
 	auditCancel context.CancelFunc
 
@@ -202,7 +204,7 @@ type Server struct {
 	testExecErrHook func(*Job, int) error
 }
 
-// New builds a Server and starts its shard workers (and, when configured,
+// New builds a Server and starts its workers (and, when configured,
 // the audit loop). Callers must Drain it when done.
 func New(opts Options) *Server {
 	s, err := NewServer(opts)
@@ -245,25 +247,19 @@ func NewServer(opts Options) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
+		queue:      newQueue(opts.QueueDepth),
 	}
-	s.m.shards.Set(int64(opts.Shards))
 	s.mux = s.routes()
-	s.shards = make([]*shard, opts.Shards)
-	for i := range s.shards {
-		s.shards[i] = newShard(i, opts.QueueDepth)
-		for w := 0; w < opts.Workers; w++ {
-			s.wg.Add(1)
-			go s.shardWorker(s.shards[i])
-		}
+	for w := 0; w < opts.Workers; w++ {
+		s.wg.Add(1)
+		go s.worker()
 	}
 	if opts.JournalDir != "" {
 		jnl, incomplete, maxSeq, err := journal.Open(opts.JournalDir)
 		if err != nil {
 			breaker.Close()
 			cancel()
-			for _, sh := range s.shards {
-				sh.close()
-			}
+			s.queue.close()
 			s.wg.Wait()
 			return nil, err
 		}
@@ -284,15 +280,15 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// recoverJobs re-enqueues the journal's incomplete jobs. A job whose
-// result already sits in the cache — the crash landed between the cache
-// write and the journal's terminal record — is completed from the cache
-// without re-executing, which is what makes duplicate execution
-// unobservable: at-least-once under the hood, exactly-once in every
-// response. The rest re-enter their shards (bypassing the depth bound:
-// they were already acknowledged) and run normally.
+// recoverJobs re-admits the journal's incomplete jobs. A job whose result
+// already sits in the cache — the crash landed between the cache write and
+// the journal's terminal record — is completed from the cache without
+// re-executing, which is what makes duplicate execution unobservable:
+// at-least-once under the hood, exactly-once in every response. The rest
+// re-enter the queue (past its depth bound: they were already
+// acknowledged) and run normally.
 func (s *Server) recoverJobs(incomplete []journal.Entry) {
-	for _, e := range incomplete {
+	for i, e := range incomplete {
 		var req SubmitRequest
 		if err := json.Unmarshal(e.Request, &req); err != nil {
 			// An undecodable request (journal written by an incompatible
@@ -302,46 +298,9 @@ func (s *Server) recoverJobs(incomplete []journal.Entry) {
 				State: journal.StateFailed, Err: "recovery: undecodable request", UnixUS: time.Now().UnixMicro()})
 			continue
 		}
-		req = req.withDefaults()
-		job := &Job{
-			ID: e.Job, Key: e.Key, Tenant: e.Tenant, Req: req,
-			recovered: true, seq: e.Seq,
-			submitted: time.Now(),
-			done:      make(chan struct{}),
-		}
-		if cached, ok := s.cache.Get(e.Key); ok {
-			s.jnlAppend(journal.Record{Seq: e.Seq, Job: e.Job, Key: e.Key, Tenant: e.Tenant,
-				State: journal.StateDone, UnixUS: time.Now().UnixMicro()})
-			s.mu.Lock()
-			job.state = StateDone
-			job.cached = true
-			job.resultJSON = cached
-			job.finished = time.Now()
-			close(job.done)
-			s.registerLocked(job)
-			s.m.jobsDone.Add(1)
-			s.mu.Unlock()
-			s.m.jobsRecovered.Add(1)
-			continue
-		}
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		job.state = StateQueued
-		job.cancel = cancel
-		job.runParent = ctx
-		sh := s.shards[shardOf(job.Key, len(s.shards))]
-		job.shard = sh
-		s.mu.Lock()
-		if err := sh.enqueueRecovered(job); err != nil {
-			s.mu.Unlock()
-			cancel()
-			continue // shard closed: server being torn down mid-recovery
-		}
-		s.registerLocked(job)
-		s.recovered = append(s.recovered, job)
-		s.recoveredPending++
-		s.m.jobsQueued.Add(1)
-		s.mu.Unlock()
-		s.m.jobsRecovered.Add(1)
+		// The only failure is a closed queue: the server is being torn
+		// down mid-recovery.
+		s.admit(req, nil, &incomplete[i])
 	}
 	s.m.journalRecords.Set(s.jnl.Records())
 }
@@ -393,9 +352,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.auditCancel()
 	}
 	s.auditWG.Wait()
-	for _, sh := range s.shards {
-		sh.close()
-	}
+	s.queue.close()
 
 	done := make(chan struct{})
 	go func() {
@@ -444,9 +401,7 @@ func (s *Server) Kill() {
 		s.auditCancel()
 	}
 	s.baseCancel()
-	for _, sh := range s.shards {
-		sh.close()
-	}
+	s.queue.close()
 	s.auditWG.Wait()
 	s.wg.Wait()
 }
@@ -509,71 +464,135 @@ func (s *Server) validate(req SubmitRequest) (SubmitRequest, []lint.Diagnostic, 
 	return req, nil, nil
 }
 
-// submit creates a job for an already-validated request and enqueues it on
-// the shard its content address hashes to, charging the tenant's quota.
-// With journaling enabled, the accepted record is fsynced before the
-// enqueue — the job is durable before it is runnable, so a crash at any
-// point after this returns leaves a recoverable record.
-func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
+// invalidRequest is a submission the validator rejected (422): a bad
+// request shape, a server limit, or the lint gate, whose findings ride in
+// diags.
+type invalidRequest struct {
+	err   error
+	diags []lint.Diagnostic
+}
+
+func (e *invalidRequest) Error() string { return e.err.Error() }
+func (e *invalidRequest) Unwrap() error { return e.err }
+
+// admit is the one admission path of POST /v1/jobs, Submit and journal
+// recovery. A request whose content address is already in the result store
+// completes from it at once as a done job: a hit can only exist for a
+// request that previously validated, linted clean, and ran to completion,
+// so repeat submissions skip the whole pipeline — across tenants and (on
+// the disk store) across replicas and restarts. Otherwise a fresh
+// submission by tenant tn is validated and submitted, and a job replayed
+// from the journal entry from (tn is nil) is queued as it was accepted.
+// The returned view is the job as admitted (a replayed job's is empty),
+// taken before a worker can pick it up.
+func (s *Server) admit(req SubmitRequest, tn *tenantState, from *journal.Entry) (*Job, JobView, error) {
+	req = req.withDefaults()
+	job := &Job{Key: req.Key(), Req: req, done: make(chan struct{})}
+	if from != nil {
+		job.ID, job.seq, job.Key, job.Tenant, job.recovered = from.Job, from.Seq, from.Key, from.Tenant, true
+	} else {
+		job.Tenant = tn.cfg.Name
+	}
+	cached, hit := s.cache.Get(job.Key)
+	s.m.syncCache(s.cache.Stats())
+	switch {
+	case hit:
+		return job, s.completeFromCache(job, cached), nil
+	case from != nil:
+		return job, JobView{}, s.requeue(job)
+	}
+	req, diags, err := s.validate(req)
+	if err != nil {
+		return nil, JobView{}, &invalidRequest{err: err, diags: diags}
+	}
+	job.Req = req
+	view, err := s.submit(job, tn)
+	if err != nil {
+		return nil, JobView{}, err
+	}
+	return job, view, nil
+}
+
+// completeFromCache finishes a job with a cached result. A recovered job
+// keeps its journaled identity and gets its terminal record; a fresh one
+// mints an ID. It returns the done job's view, result included.
+func (s *Server) completeFromCache(job *Job, cached []byte) JobView {
+	if job.recovered {
+		s.jnlAppend(journal.Record{Seq: job.seq, Job: job.ID, Key: job.Key, Tenant: job.Tenant,
+			State: journal.StateDone, UnixUS: time.Now().UnixMicro()})
+		s.m.jobsRecovered.Add(1)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !job.recovered {
+		s.mintIDLocked(job)
+	}
+	job.state = StateDone
+	job.cached = true
+	job.resultJSON = cached
+	job.submitted = time.Now()
+	job.finished = job.submitted
+	close(job.done)
+	s.registerLocked(job)
+	s.m.jobsDone.Add(1)
+	s.m.tenantCompleted(job.Tenant)
+	return s.viewLocked(job, true)
+}
+
+// mintIDLocked gives a fresh job the next server-wide sequence number and
+// the ID derived from it. Caller holds s.mu.
+func (s *Server) mintIDLocked(job *Job) {
+	s.seq++
+	job.seq = s.seq
+	job.ID = fmt.Sprintf("j-%06d", s.seq)
+}
+
+// submit queues a validated fresh job, charging the tenant's quota. With
+// journaling enabled, the accepted record is fsynced before the enqueue —
+// the job is durable before it is runnable, so a crash at any point after
+// this returns leaves a recoverable record. It returns the queued job's
+// view.
+func (s *Server) submit(job *Job, tn *tenantState) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, ErrDraining
+		return JobView{}, ErrDraining
 	}
 	if tn.cfg.Quota > 0 && tn.inflight >= tn.cfg.Quota {
 		s.m.jobsQuotaRejected.Add(1)
 		s.m.tenantRejected(tn.cfg.Name)
-		return nil, ErrQuotaExceeded
+		return JobView{}, ErrQuotaExceeded
 	}
-	key := req.Key()
-	sh := s.shards[shardOf(key, len(s.shards))]
 	// Deadline-budget admission: when the client brought a timeout and the
-	// shard's backlog alone is expected to eat it, reject now instead of
-	// queueing work that can only time out — a slot spent waiting to fail
-	// is worse than an honest 429.
-	if req.TimeoutMS > 0 && s.avgRunUS > 0 {
-		waitUS := int64(sh.depthNow()/s.opts.Workers) * s.avgRunUS
-		if waitUS > req.TimeoutMS*1000 {
+	// backlog alone is expected to eat it, reject now instead of queueing
+	// work that can only time out — a slot spent waiting to fail is worse
+	// than an honest 429.
+	if job.Req.TimeoutMS > 0 && s.avgRunUS > 0 {
+		waitUS := int64(s.queue.depthNow()/s.opts.Workers) * s.avgRunUS
+		if waitUS > job.Req.TimeoutMS*1000 {
 			s.m.jobsDeadlineRejected.Add(1)
 			s.m.tenantRejected(tn.cfg.Name)
-			return nil, ErrDeadlineUnmeetable
+			return JobView{}, ErrDeadlineUnmeetable
 		}
 	}
-	s.seq++
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	job := &Job{
-		ID:           fmt.Sprintf("j-%06d", s.seq),
-		Key:          key,
-		Tenant:       tn.cfg.Name,
-		Req:          req,
-		seq:          s.seq,
-		quotaCharged: true,
-		state:        StateQueued,
-		submitted:    time.Now(),
-		cancel:       cancel,
-		runParent:    ctx,
-		done:         make(chan struct{}),
-	}
-	job.shard = sh
+	s.mintIDLocked(job)
 	// Write-ahead: the accepted record must be durable before the job is
 	// acknowledged or runnable. An append failure fails the submission —
 	// accepting a job the journal cannot replay would break the recovery
 	// contract.
 	if s.jnl != nil {
-		reqJSON, jerr := json.Marshal(req)
+		reqJSON, jerr := json.Marshal(job.Req)
 		if jerr == nil {
 			jerr = s.jnlAppend(journal.Record{Seq: job.seq, Job: job.ID, Key: job.Key, Tenant: job.Tenant,
 				State: journal.StateAccepted, UnixUS: time.Now().UnixMicro(), Request: reqJSON})
 		}
 		if jerr != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: journal append: %w", jerr)
+			return JobView{}, fmt.Errorf("serve: journal append: %w", jerr)
 		}
 	}
 	// Reserve the queue slot while still holding the lock, so Drain cannot
-	// close the shard between the draining check above and this enqueue.
-	if err := sh.enqueue(job); err != nil {
-		cancel()
+	// close the queue between the draining check above and this enqueue.
+	if err := s.enqueueLocked(job, true); err != nil {
 		// The accepted record is already durable; cancel it so the job is
 		// not resurrected on the next restart.
 		s.jnlAppend(journal.Record{Seq: job.seq, Job: job.ID, Key: job.Key, Tenant: job.Tenant,
@@ -582,14 +601,44 @@ func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
 			s.m.jobsRejected.Add(1)
 			s.m.tenantRejected(tn.cfg.Name)
 		}
-		return nil, err
+		return JobView{}, err
 	}
+	job.quotaCharged = true
 	tn.inflight++
-	s.registerLocked(job)
 	s.m.jobsSubmitted.Add(1)
-	s.m.jobsQueued.Add(1)
 	s.m.tenantSubmitted(tn.cfg.Name)
-	return job, nil
+	return s.viewLocked(job, false), nil
+}
+
+// requeue queues a job replayed from the journal. It charges no quota
+// slot: the one it held died with the previous process.
+func (s *Server) requeue(job *Job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.enqueueLocked(job, false); err != nil {
+		return err
+	}
+	s.recovered = append(s.recovered, job)
+	s.recoveredPending++
+	s.m.jobsRecovered.Add(1)
+	return nil
+}
+
+// enqueueLocked gives a job its run context and puts it on the queue
+// (bounded or not, see queue.enqueue), registering it on success. A queued
+// job's submission time is its enqueue time, so queue wait excludes
+// validation. Caller holds s.mu.
+func (s *Server) enqueueLocked(job *Job, bounded bool) error {
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	job.state, job.cancel, job.runParent = StateQueued, cancel, ctx
+	job.submitted = time.Now()
+	if err := s.queue.enqueue(job, bounded); err != nil {
+		cancel()
+		return err
+	}
+	s.registerLocked(job)
+	s.m.jobsQueued.Add(1)
+	return nil
 }
 
 // Submit validates and enqueues a request through the same path as POST
@@ -606,35 +655,8 @@ func (s *Server) Submit(req SubmitRequest, tenant string) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown tenant %q", tenant)
 	}
-	req = req.withDefaults()
-	key := req.Key()
-	if cached, ok := s.cache.Get(key); ok {
-		s.mu.Lock()
-		s.seq++
-		job := &Job{
-			ID:         fmt.Sprintf("j-%06d", s.seq),
-			Key:        key,
-			Tenant:     tn.cfg.Name,
-			Req:        req,
-			state:      StateDone,
-			cached:     true,
-			resultJSON: cached,
-			submitted:  time.Now(),
-			finished:   time.Now(),
-			done:       make(chan struct{}),
-		}
-		close(job.done)
-		s.registerLocked(job)
-		s.m.jobsDone.Add(1)
-		s.m.tenantCompleted(tn.cfg.Name)
-		s.mu.Unlock()
-		return job, nil
-	}
-	req, _, err := s.validate(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(req, tn)
+	job, _, err := s.admit(req, tn, nil)
+	return job, err
 }
 
 // Await blocks until the job is terminal (or ctx expires) and returns its
@@ -679,7 +701,7 @@ func (s *Server) job(id string) (*Job, bool) {
 }
 
 // cancelJob cancels a queued or running job. A queued job is removed from
-// its shard's queue outright — the slot frees immediately and the job can
+// the queue outright — the slot frees immediately and the job can
 // never run. It returns the job, whether it was found, and whether it was
 // still cancelable.
 func (s *Server) cancelJob(id string) (*Job, bool, bool) {
@@ -694,7 +716,7 @@ func (s *Server) cancelJob(id string) (*Job, bool, bool) {
 		s.mu.Unlock()
 		return j, true, false
 	case StateQueued:
-		if j.shard.remove(j) {
+		if s.queue.remove(j) {
 			// Really out of the queue: terminal now, quota slot freed.
 			j.state = StateCanceled
 			j.err = "canceled before start"
@@ -735,12 +757,12 @@ func (s *Server) releaseTenantLocked(j *Job) {
 	}
 }
 
-// shardWorker is one worker goroutine bound to a shard: it drains that
-// shard's queue with weighted-fair tenant selection until close.
-func (s *Server) shardWorker(sh *shard) {
+// worker is one worker goroutine: it drains the queue with weighted-fair
+// tenant selection until close.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		job, ok := sh.dequeue(s.tenants.weightOf)
+		job, ok := s.queue.dequeue(s.tenants.weightOf)
 		if !ok {
 			return
 		}

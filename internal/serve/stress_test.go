@@ -8,12 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 )
 
-// This file stresses the sharded dispatcher under -race: concurrent
+// This file stresses the dispatcher under -race: concurrent
 // multi-tenant submissions with mid-run cancellations and a drain while
 // work is still in flight must never lose a job or execute one twice.
 
@@ -100,9 +101,8 @@ func TestDispatcherStress(t *testing.T) {
 		{Name: "gamma", Key: "key-gamma", Quota: 64, Weight: 1},
 	}
 	s := New(Options{
-		Shards:     4,
-		Workers:    1,
-		QueueDepth: 64,
+		Workers:    4,
+		QueueDepth: 256,
 		Tenants:    tenants,
 		JobTimeout: 30 * time.Second,
 	})
@@ -136,7 +136,7 @@ func TestDispatcherStress(t *testing.T) {
 					mu.Unlock()
 					// Cancel every third job right after submitting it:
 					// depending on timing it is still queued (removed from
-					// the shard), already running (context-canceled), or
+					// the queue), already running (context-canceled), or
 					// already finished (409) — all must stay consistent.
 					if n%3 == 0 {
 						authJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, key, nil)
@@ -220,15 +220,15 @@ func TestDispatcherStress(t *testing.T) {
 	s.mu.Unlock()
 }
 
-// TestCancelQueuedRemovesFromShardQueue pins the DELETE-on-queued fix: the
-// job leaves the shard's queue immediately (freeing the backpressure slot)
+// TestCancelQueuedRemovesFromQueue pins the DELETE-on-queued fix: the
+// job leaves the queue immediately (freeing the backpressure slot)
 // and is never executed.
-func TestCancelQueuedRemovesFromShardQueue(t *testing.T) {
-	s, ts := newTestServer(t, Options{Shards: 1, Workers: 1, QueueDepth: 1})
+func TestCancelQueuedRemovesFromQueue(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 
 	// The exec hook both counts executions and parks the worker on the
 	// first job until released, so the next submission is deterministically
-	// stuck in the shard queue.
+	// stuck in the queue.
 	var (
 		recMu   sync.Mutex
 		count   = map[string]int{}
@@ -284,8 +284,8 @@ func TestCancelQueuedRemovesFromShardQueue(t *testing.T) {
 		t.Fatalf("queued submit: %d: %s", resp.StatusCode, data)
 	}
 	queuedID := decodeView(t, data).ID
-	if got := s.shards[0].depthNow(); got != 1 {
-		t.Fatalf("shard depth = %d, want 1", got)
+	if got := s.queue.depthNow(); got != 1 {
+		t.Fatalf("queue depth = %d, want 1", got)
 	}
 
 	// The queue is full: a third submission must bounce with 429.
@@ -297,7 +297,7 @@ func TestCancelQueuedRemovesFromShardQueue(t *testing.T) {
 		t.Fatalf("full-queue submit: %d, want 429", resp.StatusCode)
 	}
 
-	// Cancel the queued job: it must leave the shard queue at once...
+	// Cancel the queued job: it must leave the queue at once...
 	resp, data = doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+queuedID, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel queued: %d: %s", resp.StatusCode, data)
@@ -305,8 +305,8 @@ func TestCancelQueuedRemovesFromShardQueue(t *testing.T) {
 	if v := decodeView(t, data); v.State != StateCanceled {
 		t.Fatalf("canceled job state = %s, want %s", v.State, StateCanceled)
 	}
-	if got := s.shards[0].depthNow(); got != 0 {
-		t.Fatalf("shard depth after cancel = %d, want 0 (slot not freed)", got)
+	if got := s.queue.depthNow(); got != 0 {
+		t.Fatalf("queue depth after cancel = %d, want 0 (slot not freed)", got)
 	}
 
 	// ...freeing the slot for new work while the slow job still runs.
@@ -326,5 +326,81 @@ func TestCancelQueuedRemovesFromShardQueue(t *testing.T) {
 	}
 	if n := executions(thirdID); n != 1 {
 		t.Errorf("replacement job executed %d times, want 1", n)
+	}
+}
+
+// TestNoHeadOfLineBlocking pins the one-queue dispatcher: with a job parked
+// on one worker, the next job starts on an idle worker whatever its content
+// address. The two programs are picked so their content addresses agree in
+// the parity of their leading 64 bits: a router that split jobs into two
+// lanes by that value would queue the second behind the parked first.
+func TestNoHeadOfLineBlocking(t *testing.T) {
+	s := New(Options{Shards: 2, Workers: 1})
+	release := make(chan struct{})
+	defer func() {
+		close(release)
+		s.Drain(context.Background())
+	}()
+
+	req := func(i int) SubmitRequest {
+		r := SubmitRequest{}
+		r.DSL = uniqueDSL(200000 + i)
+		r.Analysis = "profile"
+		r.Ranks = 2
+		return r
+	}
+	lane := func(r SubmitRequest) uint64 {
+		v, err := strconv.ParseUint(r.withDefaults().Key()[:16], 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v % 2
+	}
+	first, second := req(0), SubmitRequest{}
+	for i := 1; ; i++ {
+		if r := req(i); lane(r) == lane(first) {
+			second = r
+			break
+		}
+	}
+
+	started := make(chan string, 2)
+	s.mu.Lock()
+	s.testExecHook = func(j *Job) {
+		started <- j.ID
+		if j.Key == first.withDefaults().Key() {
+			<-release
+		}
+	}
+	s.mu.Unlock()
+
+	j1, err := s.Submit(first, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-started:
+		if id != j1.ID {
+			t.Fatalf("first job to start = %s, want %s", id, j1.ID)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("first job never started")
+	}
+	j2, err := s.Submit(second, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-started:
+		if id != j2.ID {
+			t.Fatalf("job started = %s, want %s", id, j2.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second job waited behind the parked first while a worker was idle")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if v, err := s.Await(ctx, j2); err != nil || v.State != StateDone {
+		t.Fatalf("second job: state %s, err %v %s", v.State, err, v.Error)
 	}
 }

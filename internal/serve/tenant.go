@@ -140,7 +140,7 @@ func (r *tenantRegistry) resolve(req *http.Request) (*tenantState, bool) {
 	return nil, false
 }
 
-// weightOf reports a tenant's fair-share weight for the shard dequeue.
+// weightOf reports a tenant's fair-share weight for the queue's dequeue.
 func (r *tenantRegistry) weightOf(name string) int {
 	if ts, ok := r.byName[name]; ok {
 		return ts.weight()

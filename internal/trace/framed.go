@@ -44,11 +44,6 @@ const (
 	SalvageBadEvent  = "invalid event"
 )
 
-// FramedSize returns the exact number of bytes EncodeFramed would write.
-func (r *Run) FramedSize() int64 {
-	return int64(16) + int64(r.NumEvents())*eventWireSize + int64(len(r.Events))*8
-}
-
 // EncodeFramed writes the run's event streams in the TRC2 framed format
 // and returns the byte count.
 func (r *Run) EncodeFramed(w io.Writer) (int64, error) {

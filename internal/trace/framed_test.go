@@ -14,8 +14,11 @@ func encodeFramed(t testing.TB, r *Run) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != r.FramedSize() {
-		t.Fatalf("FramedSize %d != written %d", r.FramedSize(), n)
+	if n != int64(buf.Len()) {
+		t.Fatalf("EncodeFramed reported %d bytes, wrote %d", n, buf.Len())
+	}
+	if want := r.EncodedSize() + 4*int64(len(r.Events)); n != want {
+		t.Fatalf("EncodeFramed wrote %d bytes, want EncodedSize plus 4 per stream = %d", n, want)
 	}
 	return buf.Bytes()
 }

@@ -217,28 +217,12 @@ func (pf *PerFlow) Run(p *Program, opts RunOptions) (*Result, error) {
 // with ctx.Err(). Run, RunWorkload and RunDSL are thin wrappers over the
 // Ctx variants.
 func (pf *PerFlow) RunCtx(ctx context.Context, p *Program, opts RunOptions) (*Result, error) {
-	if p == nil {
-		return nil, fmt.Errorf("perflow: nil program")
-	}
 	if opts.Ranks <= 0 {
 		opts.Ranks = 4
 	}
-	if err := p.Finalize(); err != nil {
+	diags, err := lintGate(p, opts.SkipLint)
+	if err != nil {
 		return nil, err
-	}
-	var diags []Diagnostic
-	if !opts.SkipLint {
-		var err error
-		// Size-robust mode: only findings that hold at every modeled
-		// communicator size are reported, so programs shaped for a specific
-		// size do not fail at others.
-		diags, err = lint.Run(p, lint.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if lint.HasErrors(diags) {
-			return nil, &lint.Error{Diagnostics: diags}
-		}
 	}
 	res, err := collector.CollectCtx(ctx, p, collectorOptions(opts))
 	if err != nil {
@@ -248,6 +232,31 @@ func (pf *PerFlow) RunCtx(ctx context.Context, p *Program, opts RunOptions) (*Re
 		res.TopDown.AttachDiagnostics(diags)
 	}
 	return res, nil
+}
+
+// lintGate finalizes p and, unless skip is set, runs the static analyzer
+// over it in size-robust mode: only findings that hold at every modeled
+// communicator size are reported, so programs shaped for a specific size do
+// not fail at others. Error-severity findings fail the run as a *LintError;
+// the rest are returned for the report.
+func lintGate(p *Program, skip bool) ([]Diagnostic, error) {
+	if p == nil {
+		return nil, fmt.Errorf("perflow: nil program")
+	}
+	if err := p.Finalize(); err != nil {
+		return nil, err
+	}
+	if skip {
+		return nil, nil
+	}
+	diags, err := lint.Run(p, lint.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if lint.HasErrors(diags) {
+		return nil, &lint.Error{Diagnostics: diags}
+	}
+	return diags, nil
 }
 
 // collectorOptions maps the public RunOptions onto the collector's options.
@@ -272,28 +281,15 @@ func collectorOptions(opts RunOptions) collector.Options {
 // cancellation between and during the two collections aborts promptly with
 // ctx.Err().
 func (pf *PerFlow) RunAtScalesCtx(ctx context.Context, p *Program, small, large RunOptions) (*Result, *Result, error) {
-	if p == nil {
-		return nil, nil, fmt.Errorf("perflow: nil program")
-	}
 	if small.Ranks <= 0 {
 		small.Ranks = 4
 	}
 	if large.Ranks <= 0 {
 		large.Ranks = 64
 	}
-	if err := p.Finalize(); err != nil {
+	diags, err := lintGate(p, small.SkipLint)
+	if err != nil {
 		return nil, nil, err
-	}
-	var diags []Diagnostic
-	if !small.SkipLint {
-		var err error
-		diags, err = lint.Run(p, lint.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if lint.HasErrors(diags) {
-			return nil, nil, &lint.Error{Diagnostics: diags}
-		}
 	}
 	rs, rl, err := collector.CollectAtScalesCtx(ctx, p, collectorOptions(small), collectorOptions(large))
 	if err != nil {
