@@ -45,6 +45,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -65,7 +66,7 @@ func Parse(r io.Reader) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prog.Validate(); err != nil {
+	if err := prog.Finalize(); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -261,12 +262,12 @@ func (p *parser) parseStmt(tok []string, file string, inParallel bool) (Node, er
 		}
 		c := &Compute{Info: Info{id: NoNode, Name: tok[1], File: file, Line: line}, Cost: cost, Flops: 2, MemBytes: 8}
 		if v, ok := kv["flops"]; ok {
-			if c.Flops, err = strconv.ParseFloat(v, 64); err != nil {
+			if c.Flops, err = parseFloat(v); err != nil {
 				return nil, p.errf("bad flops %q", v)
 			}
 		}
 		if v, ok := kv["mem"]; ok {
-			if c.MemBytes, err = strconv.ParseFloat(v, 64); err != nil {
+			if c.MemBytes, err = parseFloat(v); err != nil {
 				return nil, p.errf("bad mem %q", v)
 			}
 		}
@@ -583,9 +584,25 @@ func (p *parser) floatArg(tok []string, i int) (float64, error) {
 	if len(tok) <= i {
 		return 0, p.errf("%s needs a value", tok[0])
 	}
-	v, err := strconv.ParseFloat(tok[i], 64)
+	v, err := parseFloat(tok[i])
 	if err != nil {
 		return 0, p.errf("bad number %q", tok[i])
+	}
+	return v, nil
+}
+
+// parseFloat is strconv.ParseFloat restricted to finite numbers.
+// strconv accepts "nan", "inf" and "infinity", and those poison every
+// closed form they reach (a NaN trip count lints as NaN sends, an infinite
+// one predicts no traffic). Every number the DSL reads goes through here,
+// so the caller's positioned "bad ..." error covers them.
+func parseFloat(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite number %q", s)
 	}
 	return v, nil
 }
@@ -629,13 +646,13 @@ func parseExpr(val string, kv map[string]string) (Expr, error) {
 		e.Scaling = ScaleLogP
 		base = strings.TrimSuffix(val, "*logP")
 	}
-	b, err := strconv.ParseFloat(base, 64)
+	b, err := parseFloat(base)
 	if err != nil {
 		return Expr{}, fmt.Errorf("bad value %q", val)
 	}
 	e.Base = b
 	if s, ok := kv["slope"]; ok {
-		if e.Slope, err = strconv.ParseFloat(s, 64); err != nil {
+		if e.Slope, err = parseFloat(s); err != nil {
 			return Expr{}, fmt.Errorf("bad slope %q", s)
 		}
 	}
@@ -655,7 +672,7 @@ func parseExpr(val string, kv map[string]string) (Expr, error) {
 			return Expr{}, fmt.Errorf("bad lowranks %q (want K:F)", lr)
 		}
 		k, err1 := strconv.Atoi(parts[0])
-		f, err2 := strconv.ParseFloat(parts[1], 64)
+		f, err2 := parseFloat(parts[1])
 		if err1 != nil || err2 != nil {
 			return Expr{}, fmt.Errorf("bad lowranks %q", lr)
 		}
@@ -672,7 +689,7 @@ func parseRankMap(s string) (map[int]float64, error) {
 			return nil, fmt.Errorf("bad rank map entry %q (want R:F)", pair)
 		}
 		r, err1 := strconv.Atoi(parts[0])
-		f, err2 := strconv.ParseFloat(parts[1], 64)
+		f, err2 := parseFloat(parts[1])
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad rank map entry %q", pair)
 		}

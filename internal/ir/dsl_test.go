@@ -133,6 +133,17 @@ func TestParseErrors(t *testing.T) {
 		{"bad lowranks", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 lowranks nope\nend\n", "lowranks"},
 		{"bad factor", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 factor x\nend\n", "rank map"},
 		{"top-level junk", "program x\nwibble\n", "unexpected top-level"},
+		{"nan trips", "program x\nfunc main file m.c line 1\nloop l line 2 trips nan\ncompute a line 3 cost 1\nend\nend\n", "line 3: bad trips"},
+		{"inf trips", "program x\nfunc main file m.c line 1\nloop l line 2 trips inf\ncompute a line 3 cost 1\nend\nend\n", "line 3: bad trips"},
+		{"-infinity cost", "program x\nfunc main file m.c line 1\ncompute a line 2 cost -Infinity\nend\n", "line 3: bad cost"},
+		{"nan slope", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 slope NaN\nend\n", "line 3: bad cost"},
+		{"inf factor", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 factor 0:inf\nend\n", "line 3: bad cost"},
+		{"nan add", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 add 1:nan\nend\n", "line 3: bad cost"},
+		{"inf lowranks", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 lowranks 2:+inf\nend\n", "line 3: bad cost"},
+		{"nan flops", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 flops nan\nend\n", "line 3: bad flops"},
+		{"inf mem", "program x\nfunc main file m.c line 1\ncompute a line 2 cost 1 mem inf\nend\n", "line 3: bad mem"},
+		{"nan bytes", "program x\nfunc main file m.c line 1\nmpi allreduce line 2 bytes nan\nend\n", "line 3: bad bytes"},
+		{"inf kloc", "program x\nkloc inf\n", "line 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -42,6 +42,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("program p\nfunc main file a.c line 1\nkernel k line 2 cost 100 h2d 8 d2h 8 stream 1 async\ndevsync line 3\nend\n")
 	f.Add("# lint:disable=PF013\nprogram p\nfunc main file a.c line 1\nmpi send line 2 to rank 0 bytes 8 tag 1\nend\n")
 	f.Add("program p\nkloc 1.5\nbinary 123\nfunc main file a.c line 1\nmutex m line 2 count 4 hold 2\nalloc allocate line 3 count 8/sqrtP hold 1\nend\n")
+	f.Add("program p\nfunc main file a.c line 1\nloop l line 2 trips nan comm-per-iter\nmpi barrier line 3\nend\nend\n")
+	f.Add("program p\nfunc main file a.c line 1\ncompute c line 2 cost inf slope -inf factor 0:nan\nend\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := ParseLenient(strings.NewReader(src))

@@ -15,6 +15,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 )
 
 // NodeID uniquely identifies a node within a finalized Program. IDs are
@@ -344,7 +345,8 @@ type Program struct {
 
 	Functions []*Function
 
-	finalized bool
+	indexed   bool // FinalizeStructure ran: node IDs and function index built
+	validated bool // Finalize ran Validate on the indexed program and it passed
 	byID      []Node
 	funcIdx   map[string]*Function
 }
@@ -364,31 +366,47 @@ func (p *Program) Function(name string) *Function {
 
 // Node returns the node with the given finalized ID, or nil.
 func (p *Program) Node(id NodeID) Node {
-	if !p.finalized || id < 0 || int(id) >= len(p.byID) {
+	if !p.indexed || id < 0 || int(id) >= len(p.byID) {
 		return nil
 	}
 	return p.byID[id]
 }
 
+// FunctionOf returns the function whose body holds the node with the
+// given ID (the function itself for a function's own ID), or nil. IDs are
+// assigned in pre-order one function after another, so each function owns
+// a contiguous ID range starting at its own.
+func (p *Program) FunctionOf(id NodeID) *Function {
+	if !p.indexed || id < 0 || int(id) >= len(p.byID) {
+		return nil
+	}
+	i := sort.Search(len(p.Functions), func(i int) bool { return p.Functions[i].id > id })
+	return p.Functions[i-1]
+}
+
 // NumNodes returns the total node count after Finalize.
 func (p *Program) NumNodes() int { return len(p.byID) }
 
-// Finalized reports whether Finalize has run.
-func (p *Program) Finalized() bool { return p.finalized }
+// Finalized reports whether the program's structure is indexed (node IDs
+// and function index built) by FinalizeStructure or Finalize. It does not
+// say whether the program was validated: only a nil Finalize does.
+func (p *Program) Finalized() bool { return p.indexed }
 
 // Finalize assigns deterministic pre-order node IDs, builds the function
-// index, and validates the program. It is idempotent.
+// index, and validates the program. It is idempotent once it has succeeded,
+// and an earlier FinalizeStructure does not let it skip validation.
 func (p *Program) Finalize() error {
-	if p.finalized {
+	if p.validated {
 		return nil
 	}
 	if err := p.FinalizeStructure(); err != nil {
 		return err
 	}
 	if err := p.Validate(); err != nil {
-		p.finalized = false
+		p.indexed = false
 		return err
 	}
+	p.validated = true
 	return nil
 }
 
@@ -398,7 +416,7 @@ func (p *Program) Finalize() error {
 // reject, so that every defect can be reported instead of only the
 // blocking ones. Like Finalize it is idempotent.
 func (p *Program) FinalizeStructure() error {
-	if p.finalized {
+	if p.indexed {
 		return nil
 	}
 	p.funcIdx = make(map[string]*Function, len(p.Functions))
@@ -418,7 +436,7 @@ func (p *Program) FinalizeStructure() error {
 	for _, f := range p.Functions {
 		p.assign(f)
 	}
-	p.finalized = true
+	p.indexed = true
 	return nil
 }
 

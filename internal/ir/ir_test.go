@@ -384,3 +384,33 @@ func TestFinalizeIdempotent(t *testing.T) {
 		t.Errorf("NumNodes changed on re-finalize: %d -> %d", n, p.NumNodes())
 	}
 }
+
+// TestFinalizeValidatesAfterFinalizeStructure: indexing the structure
+// first (what the lint driver does) must not let Finalize skip validation,
+// or a recursive program reaches the simulator and overflows its stack.
+func TestFinalizeValidatesAfterFinalizeStructure(t *testing.T) {
+	p, err := ParseLenient(strings.NewReader(`program rec
+func main file r.c line 1
+  call f line 2
+end
+func f file r.c line 10
+  call g line 11
+end
+func g file r.c line 20
+  call f line 21
+end
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FinalizeStructure(); err != nil {
+		t.Fatal(err)
+	}
+	err = p.Finalize()
+	if err == nil || !strings.Contains(err.Error(), "recursive call cycle") {
+		t.Fatalf("Finalize after FinalizeStructure = %v, want the recursion error", err)
+	}
+	if err := p.Finalize(); err == nil {
+		t.Fatal("a second Finalize accepted the recursive program")
+	}
+}

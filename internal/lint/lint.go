@@ -6,10 +6,11 @@
 // analyzers.
 //
 // The MPI checks are rank-symbolic: instead of executing the program, they
-// resolve each rank's communication statically (peer patterns, branch
-// conditions, and loop trip counts are all evaluable per rank) and compare
-// across ranks — statically matching sends to receives, detecting blocking
-// cycles, and spotting divergent collectives. Because a program can be
+// evaluate the symbolic dataflow model (internal/sdf) at each rank (peer
+// patterns, branch conditions, and loop trip counts are all closed forms
+// in rank and size) and compare across ranks — statically matching sends
+// to receives, detecting blocking cycles, and spotting divergent
+// collectives. Because a program can be
 // correct at one communicator size and broken at another, peer-sensitive
 // analyzers model several sizes and report only findings that hold at
 // every size (see Pass.Sizes), which keeps size-specific pipelines from
@@ -157,16 +158,14 @@ func (ps *Pass) Sizes() []int {
 }
 
 // Comms returns the statically resolved communication sequence of one rank
-// at the given communicator size, cached across analyzers. The stream comes
-// from the symbolic dataflow model when the program summarizes exactly, and
-// from the per-rank enumeration walker otherwise; the two are identical on
-// every program both can handle.
+// at the given communicator size, cached across analyzers: the symbolic
+// dataflow model (Model) evaluated at (rank, size).
 func (ps *Pass) Comms(rank, size int) []commOp { return ps.cache.comms(rank, size) }
 
 // Model returns the program's symbolic dataflow model, shared across
-// analyzers. It is nil when the engine cannot summarize the program exactly
-// (cyclic static call graph) or when Options.NoSymbolic disabled it; the
-// symbolic analyzers (PF030+) must no-op on nil.
+// analyzers. It is never nil: recursive programs are summarized with each
+// back edge cut, so the symbolic analyzers (PF030+) check for recursion
+// themselves (see symbolicReady).
 func (ps *Pass) Model() *sdf.Model { return ps.cache.symModel() }
 
 // WitnessSizes returns the communicator sizes worth probing symbolically —
@@ -246,22 +245,16 @@ type runCache struct {
 	viol    []ir.Violation
 	violSet bool
 
-	noSym    bool       // Options.NoSymbolic: force the enumeration walker
-	model    *sdf.Model // lazily built; nil when unavailable or disabled
-	modelSet bool
-	witness  []int // lazily derived witness sizes
+	model   *sdf.Model // lazily built
+	witness []int      // lazily derived witness sizes
 }
 
-// symModel lazily builds the symbolic dataflow model, once per Run. A nil
-// return (cyclic call graph, or NoSymbolic) routes every consumer to the
-// enumeration fallback.
+// symModel lazily builds the symbolic dataflow model, once per Run. New
+// fails only without an entry function, which Run has already ruled out by
+// indexing the program.
 func (c *runCache) symModel() *sdf.Model {
-	if c.noSym {
-		return nil
-	}
-	if !c.modelSet {
+	if c.model == nil {
 		c.model, _ = sdf.New(c.prog)
-		c.modelSet = true
 	}
 	return c.model
 }
@@ -274,12 +267,7 @@ func (c *runCache) comms(rank, size int) []commOp {
 	if ops, ok := c.ops[key]; ok {
 		return ops
 	}
-	var ops []commOp
-	if m := c.symModel(); m != nil {
-		ops = modelComms(m, rank, size)
-	} else {
-		ops = rankComms(c.prog, rank, size)
-	}
+	ops := modelComms(c.symModel(), rank, size)
 	c.ops[key] = ops
 	return ops
 }
@@ -299,13 +287,6 @@ type Options struct {
 	Ranks int
 	// Analyzers names the analyzers to run; empty runs all of them.
 	Analyzers []string
-	// NoSymbolic forces the per-rank enumeration walker instead of the
-	// symbolic dataflow engine for the shared communication streams, and
-	// disables the symbolic analyzers (PF030+). Findings from the
-	// enumeration-era analyzers are identical either way (the differential
-	// test pins this); the option exists for that test and as an escape
-	// hatch.
-	NoSymbolic bool
 }
 
 // Run lints a program with the registered analyzers and returns its
@@ -323,7 +304,7 @@ func Run(prog *ir.Program, opts Options) ([]Diagnostic, error) {
 	for _, name := range opts.Analyzers {
 		want[name] = true
 	}
-	cache := &runCache{prog: prog, noSym: opts.NoSymbolic}
+	cache := &runCache{prog: prog}
 	var diags []Diagnostic
 	for _, an := range Analyzers() {
 		if len(want) > 0 && !want[an.Name] {

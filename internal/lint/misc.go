@@ -95,30 +95,21 @@ func divergenceFindings(ps *Pass, size int) map[diagKey]Diagnostic {
 // node costs nothing; both usually indicate a modeling mistake (a trip
 // expression zeroed by a factor, or a body that was never filled in).
 func runTrivialLoops(ps *Pass) {
-	prog := ps.Prog
-	for _, f := range prog.Functions {
-		fn := f.Name
-		var walkNodes func(ns []ir.Node)
-		walkNodes = func(ns []ir.Node) {
-			for _, n := range ns {
-				l, ok := n.(*ir.Loop)
-				if !ok {
-					walkNodes(n.Children())
-					continue
-				}
-				switch {
-				case neverTrips(ps, l):
-					ps.Report(ps.diag(l, fn,
-						"loop %q never executes: trip count is not positive for any rank", l.Name))
-				case !hasEffect(l.Body):
-					ps.Report(ps.diag(l, fn,
-						"loop %q has no effect: the body contains no compute, communication, or calls", l.Name))
-				}
-				walkNodes(l.Body)
-			}
+	ps.Prog.Walk(func(n, _ ir.Node) {
+		l, ok := n.(*ir.Loop)
+		if !ok {
+			return
 		}
-		walkNodes(f.Body)
-	}
+		fn := ps.Prog.FunctionOf(l.ID()).Name
+		switch {
+		case neverTrips(ps, l):
+			ps.Report(ps.diag(l, fn,
+				"loop %q never executes: trip count is not positive for any rank", l.Name))
+		case !hasEffect(l.Body):
+			ps.Report(ps.diag(l, fn,
+				"loop %q has no effect: the body contains no compute, communication, or calls", l.Name))
+		}
+	})
 }
 
 func neverTrips(ps *Pass, l *ir.Loop) bool {
@@ -153,36 +144,32 @@ func hasEffect(ns []ir.Node) bool {
 func runReachability(ps *Pass) {
 	prog := ps.Prog
 	hasIndirect := false
+	callees := map[string][]string{}
 	prog.Walk(func(n, _ ir.Node) {
-		if c, ok := n.(*ir.Call); ok && c.Indirect {
+		c, ok := n.(*ir.Call)
+		switch {
+		case !ok || c.External:
+		case c.Indirect:
 			hasIndirect = true
+		default:
+			caller := prog.FunctionOf(c.ID()).Name
+			callees[caller] = append(callees[caller], c.Callee)
 		}
 	})
 	if hasIndirect {
 		return
 	}
-	entry := prog.Function(prog.Entry)
-	if entry == nil {
-		return
-	}
-	reached := map[string]bool{entry.Name: true}
-	queue := []*ir.Function{entry}
+	reached := map[string]bool{prog.Entry: true}
+	queue := []string{prog.Entry}
 	for len(queue) > 0 {
 		f := queue[0]
 		queue = queue[1:]
-		var visit func(ns []ir.Node)
-		visit = func(ns []ir.Node) {
-			for _, n := range ns {
-				if c, ok := n.(*ir.Call); ok && !c.External && !c.Indirect && !reached[c.Callee] {
-					if callee := prog.Function(c.Callee); callee != nil {
-						reached[c.Callee] = true
-						queue = append(queue, callee)
-					}
-				}
-				visit(n.Children())
+		for _, callee := range callees[f] {
+			if !reached[callee] && prog.Function(callee) != nil {
+				reached[callee] = true
+				queue = append(queue, callee)
 			}
 		}
-		visit(f.Body)
 	}
 	var dead []*ir.Function
 	for _, f := range prog.Functions {

@@ -1,6 +1,10 @@
 package lint
 
-import "perflow/internal/ir"
+import (
+	"maps"
+
+	"perflow/internal/ir"
+)
 
 // Request-lifetime analyzers: every Isend/Irecv request must reach an
 // MPI_Wait/MPI_Waitall (PF010, error — a leaked request means the
@@ -8,7 +12,7 @@ import "perflow/internal/ir"
 // while its previous operation is still pending (PF011, warning — the
 // earlier handle is lost). Tracking is interprocedural: requests routinely
 // cross call boundaries (a helper posts the Irecvs, the caller waits), so
-// one pending set follows the whole execution order of a rank.
+// one pending set follows a rank's whole communication stream.
 func init() {
 	Register(Analyzer{
 		Name: "unwaited-request", Code: "PF010", Severity: SevError,
@@ -37,21 +41,16 @@ func runRequests(ps *Pass, code string) {
 func requestFindings(ps *Pass, size int, code string) map[diagKey]Diagnostic {
 	m := map[diagKey]Diagnostic{}
 	for r := 0; r < size; r++ {
-		rw := &reqWalker{ps: ps, rank: r, size: size, code: code,
-			pending: map[string]*ir.Comm{}, onStack: map[string]bool{}}
-		if entry := ps.Prog.Function(ps.Prog.Entry); entry != nil {
-			rw.onStack[entry.Name] = true
-			rw.walk(entry.Body, entry.Name)
-		}
-		for req, node := range rw.pending {
-			if code != "PF010" {
-				continue
+		pending, out := trackRequests(ps, ps.Comms(r, size), r, size, code == "PF011")
+		if code == "PF010" {
+			for req, o := range pending {
+				d := ps.diag(o.node, o.fn,
+					"%s request %q is never completed by MPI_Wait or MPI_Waitall", o.node.Op, req)
+				m[diagKey{node: d.Node, extra: req}] = d
 			}
-			d := ps.diag(node, rw.issuedIn[node],
-				"%s request %q is never completed by MPI_Wait or MPI_Waitall", node.Op, req)
-			m[diagKey{node: d.Node, extra: req}] = d
+			continue
 		}
-		for _, d := range rw.out {
+		for _, d := range out {
 			k := diagKey{node: d.Node, extra: d.Message}
 			if _, dup := m[k]; !dup {
 				m[k] = d
@@ -61,87 +60,73 @@ func requestFindings(ps *Pass, size int, code string) map[diagKey]Diagnostic {
 	return m
 }
 
-// reqWalker follows one rank's execution order, tracking which request
-// names have a pending nonblocking operation. Branches and loops are
-// resolved per rank like rankComms; loop bodies are entered once, with a
-// loop-carry check: a request issued inside a multi-trip loop and still
-// pending at the body's end is reused by the next iteration.
-type reqWalker struct {
-	ps         *Pass
-	rank, size int
-	code       string
-	pending    map[string]*ir.Comm
-	issuedIn   map[*ir.Comm]string // issuing node -> enclosing function
-	onStack    map[string]bool
-	out        []Diagnostic
+// loopVisit is one open instance of a loop in a rank's stream, with the
+// pending set as it stood when the loop was entered.
+type loopVisit struct {
+	loop   *ir.Loop
+	before map[string]*commOp
 }
 
-func (rw *reqWalker) issue(x *ir.Comm, fn string) {
-	if rw.issuedIn == nil {
-		rw.issuedIn = map[*ir.Comm]string{}
-	}
-	rw.pending[x.Req] = x
-	rw.issuedIn[x] = fn
-}
-
-func (rw *reqWalker) walk(ns []ir.Node, fn string) {
-	for _, n := range ns {
-		switch x := n.(type) {
-		case *ir.Comm:
-			switch x.Op {
-			case ir.CommIsend, ir.CommIrecv:
-				if x.Req == "" {
-					continue // PF003 reports missing request names
-				}
-				if prev, live := rw.pending[x.Req]; live && rw.code == "PF011" {
-					d := rw.ps.diag(x, fn,
-						"request %q reissued by %s before the pending %s completed", x.Req, x.Op, prev.Op)
-					d.Related = append(d.Related, related(prev, "request %q previously issued here", x.Req))
-					rw.out = append(rw.out, d)
-				}
-				rw.issue(x, fn)
-			case ir.CommWait:
-				delete(rw.pending, x.Req)
-			case ir.CommWaitall:
-				clear(rw.pending)
-			}
-		case *ir.Branch:
-			if x.Taken.Value(rw.rank, rw.size) != 0 {
-				rw.walk(x.Body, fn)
-			}
-		case *ir.Loop:
-			trips := x.Trips.Value(rw.rank, rw.size)
-			if trips <= 0 {
+// trackRequests follows one rank's communication stream, tracking which
+// request names have a pending nonblocking operation, and returns what is
+// still pending at the end. With reuse set it also returns the PF011
+// findings: a reissue while pending, and a request issued inside a
+// multi-trip loop and still pending where that loop's body ends (the next
+// iteration reuses it). A loop's body ends where the stream's enclosing-
+// loop lists stop sharing it; two back-to-back visits of one loop with no
+// operation between them read as one visit, which reports the same
+// findings. The Isend/Irecv halves of a Sendrecv carry no request.
+func trackRequests(ps *Pass, ops []commOp, rank, size int, reuse bool) (map[string]*commOp, []Diagnostic) {
+	pending := map[string]*commOp{}
+	var out []Diagnostic
+	var open []loopVisit
+	closeTo := func(depth int) {
+		for len(open) > depth {
+			v := open[len(open)-1]
+			open = open[:len(open)-1]
+			if v.loop.Trips.Value(rank, size) <= 1 {
 				continue
 			}
-			before := make(map[string]*ir.Comm, len(rw.pending))
-			for req, node := range rw.pending {
-				before[req] = node
-			}
-			rw.walk(x.Body, fn)
-			if trips > 1 && rw.code == "PF011" {
-				for req, node := range rw.pending {
-					if before[req] == node {
-						continue // pending from outside the loop, not loop-carried
-					}
-					d := rw.ps.diag(node, fn,
-						"request %q issued inside loop %q is still pending at the end of the body; the next iteration reuses it", req, x.Name)
-					rw.out = append(rw.out, d)
+			fn := ps.Prog.FunctionOf(v.loop.ID()).Name
+			for req, o := range pending {
+				if b := v.before[req]; b != nil && b.node == o.node {
+					continue // pending from outside the loop, not loop-carried
 				}
+				out = append(out, ps.diag(o.node, fn,
+					"request %q issued inside loop %q is still pending at the end of the body; the next iteration reuses it", req, v.loop.Name))
 			}
-		case *ir.Call:
-			if x.External || x.Indirect || rw.onStack[x.Callee] {
-				continue
-			}
-			callee := rw.ps.Prog.Function(x.Callee)
-			if callee == nil {
-				continue
-			}
-			rw.onStack[x.Callee] = true
-			rw.walk(callee.Body, x.Callee)
-			rw.onStack[x.Callee] = false
-		default:
-			rw.walk(n.Children(), fn)
 		}
 	}
+	for i := range ops {
+		o := &ops[i]
+		if reuse {
+			depth := 0
+			for depth < len(open) && depth < len(o.loops) && open[depth].loop == o.loops[depth] {
+				depth++
+			}
+			closeTo(depth)
+			for _, l := range o.loops[depth:] {
+				open = append(open, loopVisit{loop: l, before: maps.Clone(pending)})
+			}
+		}
+		switch x := o.node; x.Op {
+		case ir.CommIsend, ir.CommIrecv:
+			if x.Req == "" {
+				continue // PF003 reports missing request names
+			}
+			if prev := pending[x.Req]; prev != nil && reuse {
+				d := ps.diag(x, o.fn,
+					"request %q reissued by %s before the pending %s completed", x.Req, x.Op, prev.node.Op)
+				d.Related = append(d.Related, related(prev.node, "request %q previously issued here", x.Req))
+				out = append(out, d)
+			}
+			pending[x.Req] = o
+		case ir.CommWait:
+			delete(pending, x.Req)
+		case ir.CommWaitall:
+			clear(pending)
+		}
+	}
+	closeTo(0)
+	return pending, out
 }

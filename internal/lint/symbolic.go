@@ -8,12 +8,11 @@ import (
 	"perflow/internal/sdf"
 )
 
-// Symbolic analyzers (PF030–PF036): checks that need the symbolic dataflow
-// model (internal/sdf) rather than — or in addition to — the fixed-size
-// enumeration walk. The enumeration engine models communicator sizes
-// {4, 8, 16} and intersects findings across them, so a defect that only
-// manifests at, say, 21 or 64 ranks is structurally invisible to it. The
-// symbolic engine closes that gap two ways:
+// Symbolic analyzers (PF030–PF036): checks that look beyond the fixed-size
+// enumeration. The per-size analyzers (PF010–PF022) model communicator
+// sizes {4, 8, 16} and intersect findings across them, so a defect that
+// only manifests at, say, 21 or 64 ranks is structurally invisible to
+// them. The symbolic layer closes that gap two ways:
 //
 //   - sdf.WitnessSizes derives, from the closed forms in the IR itself, the
 //     finite set of sizes at which any expression or peer pattern changes
@@ -26,55 +25,59 @@ import (
 //     (PF030), closed-form load imbalance (PF033), structurally adjacent
 //     barriers (PF034), and super-linear volume growth (PF035).
 //
-// All of these no-op when the program cannot be summarized exactly (cyclic
-// call graph), when Options.NoSymbolic disables the engine, or when the
-// run is pinned to a single size (Ranks > 0) — pinned runs keep the
-// enumeration engine's single-size semantics.
+// All of these no-op on programs with a recursive call cycle, whose model
+// is only a cut approximation, and when the run is pinned to a single size
+// (Ranks > 0) — pinned runs keep the enumeration's single-size semantics.
 func init() {
 	Register(Analyzer{
 		Name: "sym-wildcard-order", Code: "PF030", Severity: SevWarning,
-		Doc:  "an MPI_ANY_SOURCE receive that can match several senders makes message order nondeterministic",
-		Run:  runWildcardOrder,
+		Doc: "an MPI_ANY_SOURCE receive that can match several senders makes message order nondeterministic",
+		Run: runWildcardOrder,
 	})
 	Register(Analyzer{
 		Name: "sym-request-reuse", Code: "PF031", Severity: SevWarning,
-		Doc:  "request reuse before its wait at communicator sizes the enumeration engine never models",
-		Run:  runSymRequestReuse,
+		Doc: "request reuse before its wait at communicator sizes the enumeration engine never models",
+		Run: runSymRequestReuse,
 	})
 	Register(Analyzer{
 		Name: "sym-collective-divergence", Code: "PF032", Severity: SevError,
-		Doc:  "collective divergence at communicator sizes the enumeration engine never models",
-		Run:  runSymCollectiveDivergence,
+		Doc: "collective divergence at communicator sizes the enumeration engine never models",
+		Run: runSymCollectiveDivergence,
 	})
 	Register(Analyzer{
 		Name: "sym-load-imbalance", Code: "PF033", Severity: SevWarning,
-		Doc:  "statically provable load imbalance: one rank's closed-form cost dwarfs the mean",
-		Run:  runSymImbalance,
+		Doc: "statically provable load imbalance: one rank's closed-form cost dwarfs the mean",
+		Run: runSymImbalance,
 	})
 	Register(Analyzer{
 		Name: "sym-redundant-barrier", Code: "PF034", Severity: SevWarning,
-		Doc:  "a barrier immediately following another barrier under the same guards synchronizes nothing",
-		Run:  runSymRedundantBarrier,
+		Doc: "a barrier immediately following another barrier under the same guards synchronizes nothing",
+		Run: runSymRedundantBarrier,
 	})
 	Register(Analyzer{
 		Name: "sym-superlinear-volume", Code: "PF035", Severity: SevWarning,
-		Doc:  "point-to-point communication volume that grows super-linearly with communicator size",
-		Run:  runSymSuperLinear,
+		Doc: "point-to-point communication volume that grows super-linearly with communicator size",
+		Run: runSymSuperLinear,
 	})
 	Register(Analyzer{
 		Name: "sym-size-dependent-mismatch", Code: "PF036", Severity: SevError,
-		Doc:  "point-to-point mismatches at communicator sizes the enumeration engine never models",
-		Run:  runSymSizeMismatch,
+		Doc: "point-to-point mismatches at communicator sizes the enumeration engine never models",
+		Run: runSymSizeMismatch,
 	})
 }
 
-// symbolicReady gates the symbolic analyzers: nil means stay silent. The
-// model is unavailable for programs the engine cannot summarize exactly
-// and under Options.NoSymbolic; pinned-size runs keep the enumeration
-// engine's single-size semantics.
+// symbolicReady gates the symbolic analyzers: nil means stay silent.
+// Programs with any recursive call cycle (PF004), reachable from the entry
+// or not, are left to the per-size analyzers; pinned-size runs keep the
+// enumeration's single-size semantics.
 func symbolicReady(ps *Pass) *sdf.Model {
 	if ps.Ranks > 0 {
 		return nil
+	}
+	for _, v := range ps.Violations() {
+		if v.Code == ir.CodeRecursion {
+			return nil
+		}
 	}
 	return ps.Model()
 }

@@ -41,14 +41,15 @@ func cleanPrograms(t *testing.T) map[string]*ir.Program {
 	return out
 }
 
-// TestSymbolicEnumerationAgree is the differential test of the lint
-// rebase: the symbolic dataflow model's per-rank communication stream must
-// be identical — op for op, peer for peer, multiplicity for multiplicity —
-// to the per-rank enumeration walk, on every built-in workload and example
-// at the enumerated sizes and at 64 (a size the enumeration engine never
-// models by default).
+// TestSymbolicEnumerationAgree is the oracle test of the one static
+// interpretation lint runs on: the per-rank communication stream evaluated
+// from the sdf model must equal refRankComms's walk of the IR — op for op,
+// peer for peer, multiplicity and enclosing loops alike — and the PF010 and
+// PF011 findings computed from it must equal refReqWalker's, on every
+// program of oraclePrograms (clean, defective, fuzz seeds, recursive), at
+// {4, 8, 16, 64} and at each program's witness sizes.
 func TestSymbolicEnumerationAgree(t *testing.T) {
-	for name, prog := range cleanPrograms(t) {
+	for name, prog := range oraclePrograms(t) {
 		t.Run(name, func(t *testing.T) {
 			if !prog.Finalized() {
 				if err := prog.FinalizeStructure(); err != nil {
@@ -59,13 +60,22 @@ func TestSymbolicEnumerationAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sdf.New: %v", err)
 			}
-			for _, size := range []int{4, 8, 16, 64} {
+			ps := &Pass{Prog: prog, cache: &runCache{prog: prog, model: m}}
+			sizes := append([]int{4, 8, 16, 64}, sdf.WitnessSizes(prog)...)
+			for _, size := range sizes {
 				for r := 0; r < size; r++ {
-					sym := modelComms(m, r, size)
-					enum := rankComms(prog, r, size)
+					sym := ps.Comms(r, size)
+					enum := refRankComms(prog, r, size)
 					if !reflect.DeepEqual(sym, enum) {
 						t.Fatalf("rank %d size %d: symbolic stream (%d ops) != enumerated stream (%d ops)",
 							r, size, len(sym), len(enum))
+					}
+				}
+				for _, code := range []string{"PF010", "PF011"} {
+					got := requestFindings(ps, size, code)
+					want := refRequestFindings(ps, size, code)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("size %d %s: stream findings %v != walker findings %v", size, code, got, want)
 					}
 				}
 			}
@@ -73,34 +83,46 @@ func TestSymbolicEnumerationAgree(t *testing.T) {
 	}
 }
 
+// preSymbolicAnalyzers names every analyzer with a code below PF030: the
+// per-size checks that model only the enumerated sizes.
+func preSymbolicAnalyzers() []string {
+	var out []string
+	for _, an := range Analyzers() {
+		if an.Code < "PF030" {
+			out = append(out, an.Name)
+		}
+	}
+	return out
+}
+
 // TestSymbolicFindingsMatchEnumeration asserts that on every clean program
-// the full lint run is byte-identical with the symbolic engine on and off:
-// the rebased analyzers draw the same conclusions from the symbolic stream,
-// and the witness-size analyzers add nothing on defect-free programs.
+// the full lint run is byte-identical to a run of only the per-size
+// analyzers: the witness-size analyzers (PF030+) add nothing on
+// defect-free programs.
 func TestSymbolicFindingsMatchEnumeration(t *testing.T) {
+	perSize := Options{Analyzers: preSymbolicAnalyzers()}
 	for name, prog := range cleanPrograms(t) {
 		t.Run(name, func(t *testing.T) {
 			sym, err := Run(prog, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			enum, err := Run(prog, Options{NoSymbolic: true})
+			enum, err := Run(prog, perSize)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(sym, enum) {
-				t.Fatalf("findings differ with the symbolic engine on/off:\nsymbolic: %v\nenumerated: %v", sym, enum)
+				t.Fatalf("findings differ with the symbolic analyzers on/off:\nsymbolic: %v\nenumerated: %v", sym, enum)
 			}
 		})
 	}
 }
 
 // TestSymbolicPlantedDefects pins, for each PF030–PF036 fixture, that the
-// symbolic engine reports the planted code at the planted position — and
-// that the pre-symbolic enumeration engine (Options.NoSymbolic) finds
-// NOTHING in the same file. That is the regression guarantee of the
-// symbolic layer: every one of these defects is provably invisible to the
-// old engine.
+// symbolic analyzers report the planted code at the planted position — and
+// that the per-size analyzers (codes below PF030) find NOTHING in the same
+// file. That is the regression guarantee of the symbolic layer: every one
+// of these defects is provably invisible to the enumerated sizes.
 func TestSymbolicPlantedDefects(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -148,12 +170,12 @@ func TestSymbolicPlantedDefects(t *testing.T) {
 				t.Errorf("want %s at %s; got %v", tc.code, tc.pos, diags)
 			}
 
-			old, err := Run(parse(), Options{NoSymbolic: true})
+			old, err := Run(parse(), Options{Analyzers: preSymbolicAnalyzers()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(old) != 0 {
-				t.Errorf("the enumeration engine should find nothing in %s; got %v", tc.fixture, old)
+				t.Errorf("the per-size analyzers should find nothing in %s; got %v", tc.fixture, old)
 			}
 		})
 	}

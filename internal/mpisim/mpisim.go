@@ -177,10 +177,8 @@ func Run(p *ir.Program, cfg Config) (*trace.Run, error) {
 // long simulation aborts promptly with ctx.Err().
 func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) {
 	cfg = cfg.withDefaults()
-	if !p.Finalized() {
-		if err := p.Finalize(); err != nil {
-			return nil, err
-		}
+	if err := p.Finalize(); err != nil {
+		return nil, err
 	}
 
 	cct := trace.NewCCT()

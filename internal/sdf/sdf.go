@@ -11,30 +11,31 @@
 // size, so both arms stay distinguishable); loops keep their trip counts
 // symbolic. Call sites compose summaries by prefixing the caller's guard
 // and loop context onto every callee event — the interprocedural step.
-// Back edges in the call graph widen to bottom (recursion is rejected by
-// ir.Validate as PF004; the widening only matters for lenient lint runs),
-// which makes the fixpoint converge in one pass over the call DAG.
+// A call to a function already on the call path is a back edge and widens
+// to bottom (recursion is rejected by ir.Validate as PF004; the cut only
+// matters for lenient lint runs). What a cut drops depends on the path
+// that reached it, so only summaries computed without any cut are reused
+// across call sites; the rest are recomputed per call path.
 //
 // Every derived artifact — the static communication matrix, the per-rank
-// cost vector, the critical-path estimate — is a closed-form function of
-// (rank, size), evaluable at ANY communicator size, including sizes the
-// rank-enumerating lint engine never models. Two evaluation semantics
-// coexist, because the repo has two consumers with different counting
-// rules:
+// cost vector, the critical-path estimate, the lint engine's per-rank
+// communication streams — is a closed-form function of (rank, size),
+// evaluable at ANY communicator size. Two evaluation semantics coexist,
+// because the repo has two consumers with different counting rules:
 //
 //   - Event.Count mirrors the SIMULATOR's flattener: communication inside
 //     a non-comm-per-iter loop executes once (as if hoisted), and a
-//     comm-per-iter loop replays its body int(trips) times. Matrix uses
+//     comm-per-iter loop replays its body trunc(trips) times. Matrix uses
 //     this, which is why the static matrix matches a dynamically collected
 //     one exactly on fault-free runs.
-//   - Event.Weight mirrors the LINT engine's rankComms: multiplicity is
-//     the full (float) product of enclosing trip counts. The symbolic
-//     rebase of PF012–PF014 uses this, keeping findings byte-identical
-//     with the enumeration fallback.
+//   - Event.Weight is the LINT engine's multiplicity: the full (float)
+//     product of enclosing trip counts. The matching, deadlock and
+//     divergence analyzers read it from the per-rank streams.
 package sdf
 
 import (
 	"fmt"
+	"math"
 
 	"perflow/internal/ir"
 )
@@ -85,37 +86,23 @@ type Model struct {
 	Costs  []*CostItem
 	Items  []Item
 
-	summaries map[string]*summary
+	// summaries memoizes the items one invocation of a function produces,
+	// with guard/loop context relative to the function entry. Only
+	// summaries computed without a recursion cut are kept (see summarize).
+	summaries map[string][]Item
 }
 
-// summary is the per-function dataflow fact: the items one invocation of
-// the function produces, with guard/loop context relative to the function
-// entry.
-type summary struct {
-	items []Item
-}
-
-// New derives the symbolic dataflow model of a program. It fails when the
-// program has no entry function or when the static call graph is cyclic —
-// recursion widens summaries to bottom, and callers that need exact streams
-// (the lint rebase, the static matrix) must fall back to enumeration
-// in that case rather than silently losing events.
+// New derives the symbolic dataflow model of a program. It fails only when
+// the program has no entry function; a cyclic static call graph is cut at
+// the back edge on each call path, as a per-rank walk of the IR would.
 func New(prog *ir.Program) (*Model, error) {
 	entry := prog.Function(prog.Entry)
 	if entry == nil {
 		return nil, fmt.Errorf("sdf: program has no entry function %q", prog.Entry)
 	}
-	if vs := prog.Violations(); len(vs) > 0 {
-		for _, v := range vs {
-			if v.Code == ir.CodeRecursion {
-				return nil, fmt.Errorf("sdf: %s", v.Msg)
-			}
-		}
-	}
-	m := &Model{Prog: prog, summaries: map[string]*summary{}}
-	onStack := map[string]bool{}
-	sum := m.summarize(entry, onStack)
-	m.Items = expand(sum.items, nil, nil)
+	m := &Model{Prog: prog, summaries: map[string][]Item{}}
+	items, _ := m.summarize(entry, map[string]bool{})
+	m.Items = expand(items, nil, nil)
 	for i := range m.Items {
 		if ev := m.Items[i].Ev; ev != nil {
 			m.Events = append(m.Events, ev)
@@ -126,25 +113,37 @@ func New(prog *ir.Program) (*Model, error) {
 	return m, nil
 }
 
-// summarize computes (and memoizes) the summary of one function: the
+// summarize returns the items one invocation of f produces on the current
+// call path, and whether a back edge was cut while computing them. The
 // fixpoint iteration degenerates to a post-order walk because back edges
-// widen to bottom (onStack cut).
-func (m *Model) summarize(f *ir.Function, onStack map[string]bool) *summary {
+// widen to bottom (onStack cut). A summary computed under a cut depends on
+// the call path that reached f — main→a→b→a cuts a's events out of that b,
+// while a direct main→b keeps them — so it is not memoized. A cut-free
+// summary is the same on every path: any back edge a later path could hit
+// would have closed a cycle through f, which this walk cuts too.
+func (m *Model) summarize(f *ir.Function, onStack map[string]bool) ([]Item, bool) {
 	if s, ok := m.summaries[f.Name]; ok {
-		return s
+		return s, false
 	}
 	onStack[f.Name] = true
-	s := &summary{}
-	s.items = m.walk(f.Body, f.Name, nil, nil, onStack)
+	items, cut := m.walk(f.Body, f.Name, nil, nil, onStack)
 	onStack[f.Name] = false
-	m.summaries[f.Name] = s
-	return s
+	if !cut {
+		m.summaries[f.Name] = items
+	}
+	return items, cut
 }
 
 // walk builds the item stream of a node list under the given guard/loop
-// context, following direct calls through their summaries.
-func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.Loop, onStack map[string]bool) []Item {
+// context, following direct calls through their summaries. It reports
+// whether any call in the list (transitively) was cut as a back edge.
+func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.Loop, onStack map[string]bool) ([]Item, bool) {
 	var out []Item
+	cut := false
+	sub := func(items []Item, c bool) {
+		out = append(out, items...)
+		cut = cut || c
+	}
 	costItem := func(n ir.Node, eval func(rank, nranks int) float64) {
 		out = append(out, Item{Cost: &CostItem{
 			Node: n, Fn: fn, Guards: guards, Loops: loops, eval: eval,
@@ -168,11 +167,11 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 
 		case *ir.Branch:
 			g := append(append([]*ir.Branch{}, guards...), x)
-			out = append(out, m.walk(x.Body, fn, g, loops, onStack)...)
+			sub(m.walk(x.Body, fn, g, loops, onStack))
 
 		case *ir.Loop:
 			l := append(append([]*ir.Loop{}, loops...), x)
-			out = append(out, m.walk(x.Body, fn, guards, l, onStack)...)
+			sub(m.walk(x.Body, fn, guards, l, onStack))
 
 		case *ir.Call:
 			if x.External || x.Indirect {
@@ -181,14 +180,15 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 				continue
 			}
 			if onStack[x.Callee] {
-				continue // back edge: widen to bottom
+				cut = true // back edge: widen to bottom
+				continue
 			}
 			callee := m.Prog.Function(x.Callee)
 			if callee == nil {
 				continue
 			}
-			sum := m.summarize(callee, onStack)
-			out = append(out, expand(sum.items, guards, loops)...)
+			items, c := m.summarize(callee, onStack)
+			sub(expand(items, guards, loops), c)
 
 		case *ir.Compute:
 			cost := x.Cost
@@ -211,10 +211,10 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 			})
 
 		default:
-			out = append(out, m.walk(n.Children(), fn, guards, loops, onStack)...)
+			sub(m.walk(n.Children(), fn, guards, loops, onStack))
 		}
 	}
-	return out
+	return out, cut
 }
 
 // expand prefixes a caller context onto a summary's items — the
@@ -263,8 +263,8 @@ func live(guards []*ir.Branch, loops []*ir.Loop, rank, nranks int) bool {
 
 // Count returns how many times the event executes for one rank at one
 // communicator size under the SIMULATOR's semantics: comm-per-iter loops
-// contribute int(trips) iterations, other loops execute the event once (as
-// if hoisted). This is the counting rule the static communication matrix
+// contribute trunc(trips) iterations, other loops execute the event once
+// (as if hoisted). This is the counting rule the static communication matrix
 // uses, and it matches the flattener exactly.
 func (e *Event) Count(rank, nranks int) float64 {
 	if !live(e.Guards, e.Loops, rank, nranks) {
@@ -273,7 +273,7 @@ func (e *Event) Count(rank, nranks int) float64 {
 	count := 1.0
 	for _, l := range e.Loops {
 		if l.CommPerIter {
-			count *= float64(int(l.Trips.Value(rank, nranks)))
+			count *= math.Trunc(l.Trips.Value(rank, nranks))
 		}
 	}
 	return count
@@ -281,8 +281,7 @@ func (e *Event) Count(rank, nranks int) float64 {
 
 // Weight returns the event's multiplicity under the LINT engine's
 // semantics: the full floating-point product of enclosing trip counts,
-// regardless of comm-per-iter. The symbolic rebase of the matching
-// analyzers uses this so findings stay identical to the enumeration path.
+// regardless of comm-per-iter.
 func (e *Event) Weight(rank, nranks int) float64 {
 	if !live(e.Guards, e.Loops, rank, nranks) {
 		return 0
@@ -301,7 +300,7 @@ func (e *Event) Bytes(rank, nranks int) float64 {
 
 // Value returns the cost item's contribution to a rank's compute units:
 // per-execution cost times the full loop multiplicity (comm-per-iter loops
-// contribute int(trips) body executions, others the closed-form product —
+// contribute trunc(trips) body executions, others the closed-form product —
 // the flattener's compute semantics).
 func (c *CostItem) Value(rank, nranks int) float64 {
 	if !live(c.Guards, c.Loops, rank, nranks) {
@@ -311,7 +310,7 @@ func (c *CostItem) Value(rank, nranks int) float64 {
 	for _, l := range c.Loops {
 		trips := l.Trips.Value(rank, nranks)
 		if l.CommPerIter {
-			mult *= float64(int(trips))
+			mult *= math.Trunc(trips)
 		} else {
 			mult *= trips
 		}

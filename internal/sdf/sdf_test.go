@@ -2,6 +2,8 @@ package sdf_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -256,5 +258,82 @@ func TestSymbolicRendering(t *testing.T) {
 		if !strings.Contains(r, "count=") || !strings.Contains(r, "bytes=") {
 			t.Errorf("malformed row %q", r)
 		}
+	}
+}
+
+// TestHugeTripCountsKeepTraffic: a comm-per-iter loop with 2^63 or more
+// trips must count trunc(trips) messages per send, not the int64 overflow
+// (which used to predict no traffic at all).
+func TestHugeTripCountsKeepTraffic(t *testing.T) {
+	for _, trips := range []float64{100, 1e19, 1e30} {
+		prog, err := ir.ParseString(fmt.Sprintf(`program ring
+func main file ring.c line 1
+  loop l line 2 trips %g comm-per-iter
+    mpi send line 3 to right bytes 8 tag 1
+    mpi recv line 4 to left bytes 8 tag 1
+  end
+end
+`, trips))
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := sdf.New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 4
+		mx := model.Matrix(n)
+		if len(mx.Pairs) != n {
+			t.Fatalf("trips %g: %d rank pairs, want %d", trips, len(mx.Pairs), n)
+		}
+		want := math.Trunc(trips)
+		for pair, c := range mx.Pairs {
+			if c.Count != want || c.Bytes != 8*want {
+				t.Errorf("trips %g: pair %v = %+v, want %g messages of 8 bytes", trips, pair, c, want)
+			}
+		}
+		if cs := model.Cost(n, sdf.DefaultCostParams()); !(cs.CriticalPath > 0) {
+			t.Errorf("trips %g: critical path %v, want positive", trips, cs.CriticalPath)
+		}
+	}
+}
+
+// TestRecursionCutPerCallPath: New summarizes recursive programs by
+// cutting each back edge on the call path that closes it, like a per-rank
+// walk of the IR. With main→a→b→a and a direct main→b, the b reached
+// through a loses its call to a (a is on the path), while the direct b
+// keeps a's events: a summary computed under a cut must not be reused.
+func TestRecursionCutPerCallPath(t *testing.T) {
+	prog, err := ir.ParseLenient(strings.NewReader(`program rec
+func main file r.c line 1
+  call a line 2
+  call b line 3
+end
+func a file r.c line 10
+  mpi isend line 11 to right bytes 8 tag 1 req x
+  call b line 12
+end
+func b file r.c line 20
+  mpi barrier line 21
+  call a line 22
+  mpi allreduce line 23 bytes 8
+end
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := sdf.New(prog)
+	if err != nil {
+		t.Fatalf("sdf.New refused a recursive program: %v", err)
+	}
+	var got []string
+	for _, ev := range model.Events {
+		got = append(got, fmt.Sprintf("%s:%d", ev.Fn, ev.Node.Line))
+	}
+	// main→a: isend, then a→b: barrier, (b→a cut), allreduce.
+	// main→b: barrier, b→a: isend, (a→b cut), then allreduce.
+	want := []string{"a:11", "b:21", "b:23", "b:21", "a:11", "b:23"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("event stream %v, want %v", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"perflow"
+	"perflow/internal/ir"
 )
 
 func TestListing1CommunicationAnalysis(t *testing.T) {
@@ -280,6 +281,33 @@ func TestGPUWorkloadFacade(t *testing.T) {
 	}
 	if kernels.Vertex(0).Metric(perflow.MetricExclTime) <= 0 {
 		t.Error("kernel time not embedded")
+	}
+}
+
+// TestSkipLintStillValidates: linting indexes a program's structure
+// without validating it, and a later SkipLint run must still refuse a
+// recursive program rather than simulate it (unbounded recursion).
+func TestSkipLintStillValidates(t *testing.T) {
+	p, err := ir.ParseLenient(strings.NewReader(`program rec
+func main file r.c line 1
+  call f line 2
+end
+func f file r.c line 10
+  call g line 11
+end
+func g file r.c line 20
+  call f line 21
+end
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := perflow.Lint(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err = perflow.New().Run(p, perflow.RunOptions{Ranks: 4, SkipLint: true})
+	if err == nil || !strings.Contains(err.Error(), "recursive call cycle") {
+		t.Fatalf("SkipLint run of a recursive program = %v, want the recursion error", err)
 	}
 }
 

@@ -23,9 +23,9 @@ type Prediction struct {
 }
 
 // Predict builds the static performance estimate of a program at the given
-// communicator size. The program is finalized if it has not been. It fails
-// on programs the symbolic engine cannot summarize exactly (no entry
-// function, recursive call graphs).
+// communicator size. The program is finalized if it has not been, so it
+// fails on every program Validate rejects, recursive call graphs among
+// them.
 func Predict(prog *Program, ranks int) (*Prediction, error) {
 	if ranks <= 0 {
 		ranks = 8
