@@ -72,7 +72,7 @@ type Options struct {
 	// identical at every setting.
 	Parallelism int
 
-	// Faults injects deterministic failures into both simulator runs; see
+	// Faults injects deterministic failures into both simulator replays; see
 	// mpisim.FaultPlan. A non-nil plan implies AllowPartial.
 	Faults *mpisim.FaultPlan
 
@@ -95,7 +95,9 @@ type Result struct {
 	StaticTime time.Duration
 	// CleanTime and InstrumentedTime are the virtual makespans without and
 	// with instrumentation; DynamicOverheadPct is their relative difference
-	// (Table 1 "Dynamic").
+	// (Table 1 "Dynamic"). Both replays share one flattening of the
+	// program; the clean one is timing-only, so Run is the instrumented
+	// execution and no clean trace exists.
 	CleanTime          float64
 	InstrumentedTime   float64
 	DynamicOverheadPct float64
@@ -117,7 +119,7 @@ func Collect(p *ir.Program, opts Options) (*Result, error) {
 }
 
 // CollectCtx is Collect under a caller-supplied context. Cancellation and
-// deadlines propagate into both simulator runs and are checked between the
+// deadlines propagate into both simulator replays and are checked between the
 // pipeline phases, so a collection in flight aborts promptly with ctx.Err().
 func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, error) {
 	if opts.Ranks <= 0 {
@@ -143,12 +145,16 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 		AllowPartial:   opts.AllowPartial || opts.Faults != nil,
 	}
 
-	// ---- clean reference run (no instrumentation) ----
-	clean, err := mpisim.RunCtx(ctx, p, base)
+	// ---- dynamic phase: flatten once, replay clean and instrumented ----
+	flat, err := mpisim.Flatten(ctx, p, base)
 	if err != nil {
 		return nil, err
 	}
-	res.CleanTime = clean.TotalTime()
+	// The clean replay only yields the reference makespan, so it runs
+	// timing-only and records nothing.
+	if res.CleanTime, err = flat.Makespan(ctx, base); err != nil {
+		return nil, err
+	}
 
 	// ---- instrumented run ----
 	instr := base
@@ -164,7 +170,7 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 	case ModeTracing:
 		instr.PerEventOverhead = tracingEventOverhead
 	}
-	run, err := mpisim.RunCtx(ctx, p, instr)
+	run, err := flat.Replay(ctx, instr)
 	if err != nil {
 		return nil, err
 	}

@@ -236,11 +236,9 @@ func Contention(v *Set) *Set {
 	} else {
 		// Anchor the pattern's first contributor (query vertex 0) on each
 		// input vertex in turn.
-		for _, vid := range v.V {
-			embs = append(embs, graph.MatchSubgraph(v.PAG.G, pattern, graph.MatchOptions{
-				Anchor: vid, Anchored: true, MaxEmbeddings: 64,
-			})...)
-		}
+		embs = graph.MatchSubgraph(v.PAG.G, pattern, graph.MatchOptions{
+			Anchors: v.V, MaxEmbeddings: 64,
+		})
 	}
 	out.V = graph.EmbeddingVertexSet(embs)
 	out.E = graph.EmbeddingEdgeSet(embs)

@@ -505,7 +505,7 @@ func TestMatchAnchor(t *testing.T) {
 	q.AddVertex("a", WildcardLabel)
 	q.AddVertex("b", WildcardLabel)
 	q.AddEdge(0, 1, WildcardLabel)
-	embs := MatchSubgraph(data, q, MatchOptions{Anchor: 2, Anchored: true})
+	embs := MatchSubgraph(data, q, MatchOptions{Anchors: []VertexID{2}})
 	if len(embs) != 1 || embs[0].VertexMap[0] != 2 {
 		t.Fatalf("anchored match wrong: %+v", embs)
 	}

@@ -18,13 +18,16 @@ type MatchOptions struct {
 	// EdgeCompat reports whether data edge de may realize query edge qe.
 	// If nil, labels must be equal unless the query label is WildcardLabel.
 	EdgeCompat func(qe, de *Edge) bool
-	// MaxEmbeddings stops the search after this many embeddings (0 = all).
+	// MaxEmbeddings stops the search after this many embeddings (0 = all);
+	// with Anchors, after this many per anchor.
 	MaxEmbeddings int
-	// Anchor, when Anchored is true, requires query vertex 0 to map to this
-	// data vertex. Used to search for contention patterns "around" a
-	// suspicious vertex.
-	Anchor   VertexID
-	Anchored bool
+	// Anchors, when non-empty, runs one search per anchor, in order, each
+	// requiring query vertex 0 to map to that data vertex, and concatenates
+	// their embeddings. The other query vertices' candidate sets are built
+	// once for all of them. An anchor that is not a data vertex leaves query
+	// vertex 0 unconstrained. Used to search for contention patterns
+	// "around" suspicious vertices.
+	Anchors []VertexID
 	// DisableLabelPruning turns off candidate-set pruning by label, forcing
 	// the naive search. Exists only for the ablation benchmark.
 	DisableLabelPruning bool
@@ -78,47 +81,70 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 	// Candidate sets per query vertex: drawn from the graph's label index
 	// (pruning with the default compatibility), filtered by a full scan for
 	// custom compatibility or wildcard labels, or all data vertices (naive).
-	// The anchor restricts query vertex 0. All paths enumerate candidates in
-	// ascending data-vertex ID, so the embedding order is identical across
-	// them.
+	// All paths enumerate candidates in ascending data-vertex ID, so the
+	// embedding order is identical across them. An anchored search replaces
+	// query vertex 0's set with its anchor; the unanchored set is built only
+	// if some anchor needs it.
 	m.cands = make([][]VertexID, nq)
 	for _, q := range m.order {
-		qv := query.Vertex(q)
-		if q == 0 && opts.Anchored && data.HasVertex(opts.Anchor) {
-			if vcompat(qv, data.Vertex(opts.Anchor)) {
-				m.cands[q] = []VertexID{opts.Anchor}
-			}
-			continue
+		if q != 0 || len(opts.Anchors) == 0 {
+			m.cands[q] = m.candidates(q, opts)
 		}
-		if opts.DisableLabelPruning {
-			all := make([]VertexID, data.NumVertices())
-			for i := range all {
-				all[i] = VertexID(i)
-			}
-			m.cands[q] = all
-			continue
-		}
-		if opts.VertexCompat == nil && qv.Label != WildcardLabel {
-			// Fast path: the label index already holds exactly the
-			// compatible vertices (ID-ascending); only degrees need checking.
-			byLabel := data.verticesWithLabel(qv.Label)
-			cands := make([]VertexID, 0, len(byLabel))
-			for _, dv := range byLabel {
-				if data.OutDegree(dv) >= query.OutDegree(q) && data.InDegree(dv) >= query.InDegree(q) {
-					cands = append(cands, dv)
-				}
-			}
-			m.cands[q] = cands
-			continue
-		}
-		m.cands[q] = data.VerticesWhere(func(dv *Vertex) bool {
-			return vcompat(qv, dv) &&
-				data.OutDegree(dv.ID) >= query.OutDegree(q) &&
-				data.InDegree(dv.ID) >= query.InDegree(q)
-		})
 	}
-	m.search(0)
+	if len(opts.Anchors) == 0 {
+		m.search(0)
+		return m.results
+	}
+	var free []VertexID // query vertex 0's unanchored set, built on demand
+	anchor := make([]VertexID, 1)
+	for _, a := range opts.Anchors {
+		if data.HasVertex(a) {
+			m.cands[0] = nil
+			if vcompat(query.Vertex(0), data.Vertex(a)) {
+				anchor[0] = a
+				m.cands[0] = anchor
+			}
+		} else {
+			if free == nil {
+				free = m.candidates(0, opts)
+			}
+			m.cands[0] = free
+		}
+		m.base = len(m.results)
+		m.search(0)
+	}
 	return m.results
+}
+
+// candidates returns the data vertices query vertex q may map to, in
+// ascending ID order.
+func (m *matcher) candidates(q VertexID, opts MatchOptions) []VertexID {
+	data, query := m.data, m.query
+	qv := query.Vertex(q)
+	if opts.DisableLabelPruning {
+		all := make([]VertexID, data.NumVertices())
+		for i := range all {
+			all[i] = VertexID(i)
+		}
+		return all
+	}
+	if opts.VertexCompat == nil && qv.Label != WildcardLabel {
+		// Fast path: the label index already holds exactly the
+		// compatible vertices (ID-ascending); only degrees need checking.
+		byLabel := data.verticesWithLabel(qv.Label)
+		cands := make([]VertexID, 0, len(byLabel))
+		for _, dv := range byLabel {
+			if data.OutDegree(dv) >= query.OutDegree(q) && data.InDegree(dv) >= query.InDegree(q) {
+				cands = append(cands, dv)
+			}
+		}
+		return cands
+	}
+	return data.VerticesWhere(func(dv *Vertex) bool {
+		return m.vcompat(qv, dv) &&
+			data.OutDegree(dv.ID) >= query.OutDegree(q) &&
+			data.InDegree(dv.ID) >= query.InDegree(q)
+	})
 }
 
 type matcher struct {
@@ -131,11 +157,12 @@ type matcher struct {
 	assign      []VertexID
 	usedDat     map[VertexID]bool
 	results     []Embedding
+	base        int // results before the current anchor's search
 }
 
 // matchOrder orders query vertices so each (after the first) is adjacent to
 // an already-placed vertex where possible, maximizing early pruning. Query
-// vertex 0 always comes first so MatchOptions.Anchor applies to it.
+// vertex 0 always comes first so MatchOptions.Anchors applies to it.
 func matchOrder(q *Graph) []VertexID {
 	n := q.NumVertices()
 	order := make([]VertexID, 0, n)
@@ -174,7 +201,7 @@ func matchOrder(q *Graph) []VertexID {
 func (m *matcher) search(pos int) bool {
 	if pos == len(m.order) {
 		m.emit()
-		return m.max > 0 && len(m.results) >= m.max
+		return m.max > 0 && len(m.results)-m.base >= m.max
 	}
 	q := m.order[pos]
 	for _, d := range m.cands[q] {

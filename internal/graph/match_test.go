@@ -92,13 +92,42 @@ func TestMatchSubgraphConcurrent(t *testing.T) {
 					wantAnchored = append(wantAnchored, e)
 				}
 			}
-			got := MatchSubgraph(data, q, MatchOptions{Anchor: anchor, Anchored: true})
+			got := MatchSubgraph(data, q, MatchOptions{Anchors: []VertexID{anchor}})
 			if !reflect.DeepEqual(got, wantAnchored) {
 				t.Errorf("worker %d: anchored %v, want %v", w, got, wantAnchored)
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestMatchAnchorsEqualPerAnchorCalls checks one search over many anchors
+// against one single-anchor search per anchor: the same embeddings in the
+// same order, with MaxEmbeddings applied per anchor. The anchors are every
+// vertex (label-incompatible ones included), a repeat, and one outside the
+// graph, which leaves query vertex 0 unconstrained.
+func TestMatchAnchorsEqualPerAnchorCalls(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(200 + seed))
+		data := randomLabeledDAG(rng, 30+rng.Intn(30), 3, 0.2)
+		q := chainQuery(rng.Intn(3), WildcardLabel)
+		var anchors []VertexID
+		for v := 0; v < data.NumVertices(); v++ {
+			anchors = append(anchors, VertexID(v))
+		}
+		anchors = append(anchors, 3, VertexID(data.NumVertices()+5), 3)
+		for _, max := range []int{0, 1, 2} {
+			var want []Embedding
+			for _, a := range anchors {
+				want = append(want, MatchSubgraph(data, q, MatchOptions{Anchors: []VertexID{a}, MaxEmbeddings: max})...)
+			}
+			got := MatchSubgraph(data, q, MatchOptions{Anchors: anchors, MaxEmbeddings: max})
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d max %d: %d embeddings over all anchors, %d from per-anchor calls",
+					seed, max, len(got), len(want))
+			}
+		}
+	}
 }
 
 // TestFrozenAdjacencyAndIndexes checks the adjacency lists and indexes the

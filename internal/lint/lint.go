@@ -166,7 +166,7 @@ func (ps *Pass) Comms(rank, size int) []commOp { return ps.cache.comms(rank, siz
 // analyzers. It is never nil: recursive programs are summarized with each
 // back edge cut, so the symbolic analyzers (PF030+) check for recursion
 // themselves (see symbolicReady).
-func (ps *Pass) Model() *sdf.Model { return ps.cache.symModel() }
+func (ps *Pass) Model() *sdf.Model { return ps.cache.model }
 
 // WitnessSizes returns the communicator sizes worth probing symbolically —
 // every size at which some closed form in the IR changes behavior — cached
@@ -245,18 +245,8 @@ type runCache struct {
 	viol    []ir.Violation
 	violSet bool
 
-	model   *sdf.Model // lazily built
+	model   *sdf.Model // built by Run before any analyzer
 	witness []int      // lazily derived witness sizes
-}
-
-// symModel lazily builds the symbolic dataflow model, once per Run. New
-// fails only without an entry function, which Run has already ruled out by
-// indexing the program.
-func (c *runCache) symModel() *sdf.Model {
-	if c.model == nil {
-		c.model, _ = sdf.New(c.prog)
-	}
-	return c.model
 }
 
 func (c *runCache) comms(rank, size int) []commOp {
@@ -267,7 +257,7 @@ func (c *runCache) comms(rank, size int) []commOp {
 	if ops, ok := c.ops[key]; ok {
 		return ops
 	}
-	ops := modelComms(c.symModel(), rank, size)
+	ops := modelComms(c.model, rank, size)
 	c.ops[key] = ops
 	return ops
 }
@@ -293,7 +283,8 @@ type Options struct {
 // findings sorted by (file, line, code, message). Suppressed findings
 // ("# lint:disable" on the node) are dropped. The error return is reserved
 // for programs whose structure cannot be indexed (duplicate functions,
-// missing entry); findings themselves never make Run fail.
+// missing entry) and for programs too large to summarize symbolically
+// (*sdf.TooLargeError); findings themselves never make Run fail.
 func Run(prog *ir.Program, opts Options) ([]Diagnostic, error) {
 	if !prog.Finalized() {
 		if err := prog.FinalizeStructure(); err != nil {
@@ -304,7 +295,14 @@ func Run(prog *ir.Program, opts Options) ([]Diagnostic, error) {
 	for _, name := range opts.Analyzers {
 		want[name] = true
 	}
-	cache := &runCache{prog: prog}
+	// Every analyzer that reads communication reads the symbolic model, so
+	// Run builds it first; a program too large to summarize is refused here
+	// (*sdf.TooLargeError) before any analyzer runs.
+	model, err := sdf.New(prog)
+	if err != nil {
+		return nil, err
+	}
+	cache := &runCache{prog: prog, model: model}
 	var diags []Diagnostic
 	for _, an := range Analyzers() {
 		if len(want) > 0 && !want[an.Name] {

@@ -1,13 +1,16 @@
 package lint
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"perflow/internal/ir"
+	"perflow/internal/sdf"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under examples/dsl/bad")
@@ -375,5 +378,31 @@ func TestFixedSizeOption(t *testing.T) {
 	}
 	if len(robust) != 0 {
 		t.Errorf("pipeline under multi-size intersection should be clean; got %+v", robust)
+	}
+}
+
+// TestRunRejectsTooLargeProgram: a program whose symbolic summary passes
+// sdf.MaxWork (nine functions that each call all the others) makes Run
+// fail with the typed error instead of running the analyzers.
+func TestRunRejectsTooLargeProgram(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("program acc\nfunc main file a.c line 1\n  call f0 line 2\nend\n")
+	for i := 0; i < 9; i++ {
+		fmt.Fprintf(&b, "func f%d file a.c line %d\n  mpi allreduce line %d bytes 8\n", i, 100*i+10, 100*i+11)
+		for j := 0; j < 9; j++ {
+			if j != i {
+				fmt.Fprintf(&b, "  call f%d line %d\n", j, 100*i+20+j)
+			}
+		}
+		b.WriteString("end\n")
+	}
+	prog, err := ir.ParseLenient(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(prog, Options{})
+	var tooLarge *sdf.TooLargeError
+	if !errors.As(err, &tooLarge) || diags != nil {
+		t.Fatalf("Run = %d findings, error %v; want a *sdf.TooLargeError", len(diags), err)
 	}
 }

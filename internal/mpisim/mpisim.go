@@ -15,7 +15,9 @@
 // interaction) and replay (cooperative advancement of rank clocks with
 // message matching and deadlock detection). A comm-per-iter loop stays one
 // loop op in the tree; each rank's cursor expands it during replay, so the
-// unrolled stream is never materialized.
+// unrolled stream is never materialized. One flattening (Flat) serves
+// several replays: a recording Replay yields the trace, and Makespan replays
+// for timing only, recording nothing.
 package mpisim
 
 import (
@@ -174,73 +176,152 @@ func Run(p *ir.Program, cfg Config) (*trace.Run, error) {
 
 // RunCtx is Run under a caller-supplied context: cancellation and deadlines
 // are honored between flattening passes and between replay rounds, so a
-// long simulation aborts promptly with ctx.Err().
+// long simulation aborts promptly with ctx.Err(). It is Flatten followed by
+// one recording Replay.
 func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) {
+	f, err := Flatten(ctx, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return f.Replay(ctx, cfg)
+}
+
+// Flat is a program flattened for one communicator size: every rank's
+// resolved op tree and the calling-context tree its ops intern into.
+// Flattening reads only the program, NRanks and MaxOpsPerRank, so the clean
+// and the instrumented replay of one collection share a Flat; compute
+// durations are dilated (sampling interrupts, straggler ranks) at replay.
+// Replays never modify the op trees. A recording Replay hands the Flat's
+// CCT to its run and interns parallel-region contexts into it, so a Flat
+// yields at most one recording replay; timing-only replays intern nothing.
+type Flat struct {
+	prog   *ir.Program
+	nranks int
+	cct    *trace.CCT
+	ops    [][]op // per rank: resolved op tree
+	counts []int  // per rank: ops of the unrolled stream (event preallocation)
+}
+
+// Flatten finalizes p and resolves every rank's op tree at cfg.NRanks,
+// failing with the first rank's error (a runaway loop past MaxOpsPerRank,
+// an unresolvable peer, an undefined callee).
+func Flatten(ctx context.Context, p *ir.Program, cfg Config) (*Flat, error) {
 	cfg = cfg.withDefaults()
 	if err := p.Finalize(); err != nil {
 		return nil, err
 	}
-
-	cct := trace.NewCCT()
-	ranks := make([]*rankState, cfg.NRanks)
-	fl := &flattener{prog: p, nranks: cfg.NRanks, cfg: cfg, cct: cct}
+	f := &Flat{
+		prog: p, nranks: cfg.NRanks, cct: trace.NewCCT(),
+		ops: make([][]op, cfg.NRanks), counts: make([]int, cfg.NRanks),
+	}
+	fl := &flattener{prog: p, nranks: cfg.NRanks, maxOps: cfg.MaxOpsPerRank, cct: f.cct}
+	entry := p.Function(p.Entry)
 	for r := 0; r < cfg.NRanks; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		fl.rank, fl.count = r, 0
-		entry := p.Function(p.Entry)
-		entryCtx := cct.Intern(trace.NoCtx, entry.ID())
+		entryCtx := f.cct.Intern(trace.NoCtx, entry.ID())
 		if err := fl.nodes(entry.Body, entryCtx, 1); err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		rs := &rankState{rank: r, cur: newCursor(fl.take(0)), requests: map[string][]*request{}}
-		if fl.count > 0 {
-			// Every op emits exactly one event; only parallel regions add more.
-			rs.events = make([]trace.Event, 0, fl.count)
-		}
-		ranks[r] = rs
+		f.ops[r], f.counts[r] = fl.take(0), fl.count
 	}
+	return f, nil
+}
 
-	world := &world{
-		cfg: cfg, prog: p, cct: cct, ranks: ranks,
-		sends:   map[chanKey][]*message{},
-		recvs:   map[chanKey][]*recvPost{},
-		wilds:   map[wildKey][]*recvPost{},
-		status:  make([]trace.RankStatus, cfg.NRanks),
-		dropSeq: map[chanKey]int{},
-	}
-	if err := world.replay(ctx); err != nil {
+// Replay simulates the flattened program under cfg and returns the
+// recorded execution. cfg must name the communicator size f was flattened
+// at.
+func (f *Flat) Replay(ctx context.Context, cfg Config) (*trace.Run, error) {
+	w, err := f.newWorld(cfg, true)
+	if err != nil {
 		return nil, err
 	}
-
+	if err := w.replay(ctx); err != nil {
+		return nil, err
+	}
+	cfg = w.cfg
 	run := &trace.Run{
-		Program:        p,
+		Program:        f.prog,
 		NRanks:         cfg.NRanks,
 		ThreadsPerRank: cfg.Threads,
-		CCT:            cct,
+		CCT:            f.cct,
 		Events:         make([][]trace.Event, cfg.NRanks),
 		Elapsed:        make([]float64, cfg.NRanks),
 	}
-	for r, rs := range ranks {
+	for r, rs := range w.ranks {
 		run.Events[r] = rs.events
 		run.Elapsed[r] = rs.clock
 	}
-	run.Syncs = world.syncs
+	run.Syncs = w.syncs
 	if cfg.Faults != nil {
 		for _, s := range cfg.Faults.Slows {
 			if s.Rank >= 0 && s.Rank < cfg.NRanks {
-				world.status[s.Rank].SlowFactor = cfg.Faults.slowFactor(s.Rank)
+				w.status[s.Rank].SlowFactor = cfg.Faults.slowFactor(s.Rank)
 			}
 		}
 	}
-	for _, s := range world.status {
+	for _, s := range w.status {
 		if !s.Clean() {
-			run.Status = world.status
+			run.Status = w.status
 			break
 		}
 	}
 	return run, nil
+}
+
+// Makespan replays the flattened program under cfg for timing only: it
+// matches messages, resolves waits, injects faults, truncates stalls and
+// advances clocks exactly as Replay does, but records no events or sync
+// edges and interns no contexts. It returns the latest rank clock, which
+// equals TotalTime of the run Replay would return.
+func (f *Flat) Makespan(ctx context.Context, cfg Config) (float64, error) {
+	w, err := f.newWorld(cfg, false)
+	if err != nil {
+		return 0, err
+	}
+	if err := w.replay(ctx); err != nil {
+		return 0, err
+	}
+	var m float64
+	for _, rs := range w.ranks {
+		if rs.clock > m {
+			m = rs.clock
+		}
+	}
+	return m, nil
+}
+
+// newWorld sets up the replay state of f under cfg; record selects whether
+// the replay keeps events and sync edges.
+func (f *Flat) newWorld(cfg Config, record bool) (*world, error) {
+	cfg = cfg.withDefaults()
+	if cfg.NRanks != f.nranks {
+		return nil, fmt.Errorf("mpisim: replay at %d ranks of a program flattened at %d", cfg.NRanks, f.nranks)
+	}
+	w := &world{
+		cfg: cfg, prog: f.prog, record: record,
+		slowdown: cfg.slowdown(),
+		ranks:    make([]*rankState, cfg.NRanks),
+		sends:    map[chanKey][]*message{},
+		recvs:    map[chanKey][]*recvPost{},
+		wilds:    map[wildKey][]*recvPost{},
+		status:   make([]trace.RankStatus, cfg.NRanks),
+		dropSeq:  map[chanKey]int{},
+	}
+	if record {
+		w.cct = f.cct
+	}
+	for r := range w.ranks {
+		rs := &rankState{rank: r, cur: newCursor(f.ops[r]), slow: cfg.slowFor(r), requests: map[string][]*request{}}
+		if record && f.counts[r] > 0 {
+			// Every op emits exactly one event; only parallel regions add more.
+			rs.events = make([]trace.Event, 0, f.counts[r])
+		}
+		w.ranks[r] = rs
+	}
+	return w, nil
 }
 
 // ---- flattening ----
@@ -270,10 +351,13 @@ const (
 type op struct {
 	kind opKind
 	sr   srPart
-	node ir.NodeID
-	ctx  trace.CtxID
+	// sampled marks compute that sampling interrupts dilate; lock and
+	// allocator holds are not.
+	sampled bool
+	node    ir.NodeID
+	ctx     trace.CtxID
 
-	dur float64 // compute
+	dur float64 // compute, before replay-time dilation
 
 	// comm
 	commOp ir.CommKind
@@ -294,9 +378,9 @@ type flattener struct {
 	prog   *ir.Program
 	rank   int
 	nranks int
-	cfg    Config
+	maxOps int // Config.MaxOpsPerRank
 	cct    *trace.CCT
-	count  int // ops of the rank's unrolled stream so far, capped by MaxOpsPerRank
+	count  int // ops of the rank's unrolled stream so far, capped by maxOps
 	// buf stacks the op lists being flattened (a loop body on top of its
 	// enclosing list); take copies each out exactly sized. It is reused
 	// across ranks.
@@ -304,7 +388,7 @@ type flattener struct {
 }
 
 func (f *flattener) push(o op) error {
-	if f.count >= f.cfg.MaxOpsPerRank {
+	if f.count >= f.maxOps {
 		return f.runaway()
 	}
 	f.count++
@@ -321,7 +405,7 @@ func (f *flattener) take(start int) []op {
 }
 
 func (f *flattener) runaway() error {
-	return fmt.Errorf("mpisim: rank %d exceeds %d flattened operations (runaway loop?)", f.rank, f.cfg.MaxOpsPerRank)
+	return fmt.Errorf("mpisim: rank %d exceeds %d flattened operations (runaway loop?)", f.rank, f.maxOps)
 }
 
 // pushLoop resolves a comm-per-iter loop's body once and records it as one
@@ -345,7 +429,7 @@ func (f *flattener) pushLoop(x *ir.Loop, loopCtx trace.CtxID, trips, mult float6
 	}
 	// The first iteration is counted; the other iters-1 must fit in what is
 	// left. Comparing against a quotient cannot overflow.
-	if iters-1 > float64((f.cfg.MaxOpsPerRank-f.count)/per) {
+	if iters-1 > float64((f.maxOps-f.count)/per) {
 		return f.runaway()
 	}
 	f.count += per * (int(iters) - 1)
@@ -392,11 +476,11 @@ func (f *flattener) nodes(ns []ir.Node, ctx trace.CtxID, mult float64) error {
 func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	switch x := n.(type) {
 	case *ir.Compute:
-		dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+		dur := x.Cost.Value(f.rank, f.nranks) * mult
 		if dur <= 0 {
 			return nil
 		}
-		return f.push(op{kind: opCompute, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
+		return f.push(op{kind: opCompute, sampled: true, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
 
 	case *ir.Loop:
 		trips := x.Trips.Value(f.rank, f.nranks)
@@ -421,11 +505,11 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	case *ir.Call:
 		callCtx := f.cct.Intern(ctx, x.ID())
 		if x.External || x.Indirect {
-			dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+			dur := x.Cost.Value(f.rank, f.nranks) * mult
 			if dur <= 0 {
 				return nil
 			}
-			return f.push(op{kind: opCompute, node: x.ID(), ctx: callCtx, dur: dur})
+			return f.push(op{kind: opCompute, sampled: true, node: x.ID(), ctx: callCtx, dur: dur})
 		}
 		callee := f.prog.Function(x.Callee)
 		if callee == nil {
@@ -481,7 +565,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		case *ir.Alloc:
 			cnt, hold, id = y.Count.Value(f.rank, f.nranks), y.Hold.Value(f.rank, f.nranks), y.ID()
 		}
-		dur := cnt * hold * mult * f.cfg.slowFor(f.rank)
+		dur := cnt * hold * mult
 		if dur <= 0 {
 			return nil
 		}
@@ -639,6 +723,7 @@ func (rq *request) done() (float64, bool) {
 type rankState struct {
 	rank   int
 	cur    cursor
+	slow   float64 // straggler dilation of this rank's compute
 	clock  float64
 	events []trace.Event
 
@@ -671,12 +756,17 @@ type collective struct {
 }
 
 type world struct {
-	cfg   Config
-	prog  *ir.Program
-	cct   *trace.CCT
-	ranks []*rankState
-	sends map[chanKey][]*message
-	recvs map[chanKey][]*recvPost
+	cfg Config
+	// slowdown is cfg's sampling dilation of compute.
+	slowdown float64
+	// record keeps events and sync edges; cct is nil without it, so
+	// parallel regions intern no contexts.
+	record bool
+	prog   *ir.Program
+	cct    *trace.CCT
+	ranks  []*rankState
+	sends  map[chanKey][]*message
+	recvs  map[chanKey][]*recvPost
 	// wilds holds posted wildcard receives (peer == anySource) per
 	// (receiver, tag), in posting order.
 	wilds map[wildKey][]*recvPost
@@ -789,12 +879,19 @@ func (w *world) step(rs *rankState) bool {
 	o := rs.cur.op()
 	switch o.kind {
 	case opCompute:
-		rs.emit(trace.Event{
+		// The multiplication order ((cost*mult)*slowdown)*slow keeps
+		// durations bit-identical to dilating at flatten time.
+		dur := o.dur
+		if o.sampled {
+			dur *= w.slowdown
+		}
+		dur *= rs.slow
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindCompute,
 			Node: o.node, Ctx: o.ctx,
-			Start: rs.clock, End: rs.clock + o.dur,
-		}, w.cfg)
-		rs.clock += o.dur
+			Start: rs.clock, End: rs.clock + dur,
+		})
+		rs.clock += dur
 		rs.cur.advance()
 		return true
 
@@ -805,13 +902,15 @@ func (w *world) step(rs *rankState) bool {
 			// here is a programming error in the workload model.
 			panic(err)
 		}
-		rs.events = append(rs.events, res.Events...)
-		w.syncs = append(w.syncs, res.Syncs...)
-		rs.emit(trace.Event{
+		if w.record {
+			rs.events = append(rs.events, res.Events...)
+			w.syncs = append(w.syncs, res.Syncs...)
+		}
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindRegion,
 			Node: o.node, Ctx: o.ctx,
 			Start: rs.clock, End: rs.clock + res.Elapsed, Wait: res.LockWait,
-		}, w.cfg)
+		})
 		rs.clock += res.Elapsed
 		rs.cur.advance()
 		return true
@@ -857,11 +956,11 @@ func (w *world) stepKernel(rs *rankState, o *op) {
 	} else {
 		rs.clock = end
 	}
-	rs.emit(trace.Event{
+	w.emit(rs, trace.Event{
 		Rank: int32(rs.rank), Thread: -1, Kind: trace.KindKernel,
 		Node: o.node, Ctx: o.ctx, Start: launch, End: end,
 		Bytes: k.H2D.Value(rs.rank, w.cfg.NRanks) + k.D2H.Value(rs.rank, w.cfg.NRanks),
-	}, w.cfg)
+	})
 	rs.cur.advance()
 }
 
@@ -882,17 +981,28 @@ func (w *world) stepDeviceSync(rs *rankState, o *op) {
 	if target > rs.clock {
 		rs.clock = target
 	}
-	rs.emit(trace.Event{
+	w.emit(rs, trace.Event{
 		Rank: int32(rs.rank), Thread: -1, Kind: trace.KindGPUSync,
 		Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 		Wait: rs.clock - start,
-	}, w.cfg)
+	})
 	rs.cur.advance()
 }
 
-func (rs *rankState) emit(e trace.Event, cfg Config) {
-	rs.events = append(rs.events, e)
-	rs.clock += cfg.PerEventOverhead
+// emit records e on rs (when the replay records) and charges the per-event
+// instrumentation overhead to its clock.
+func (w *world) emit(rs *rankState, e trace.Event) {
+	if w.record {
+		rs.events = append(rs.events, e)
+	}
+	rs.clock += w.cfg.PerEventOverhead
+}
+
+// sync records a cross-flow dependence when the replay records.
+func (w *world) sync(e trace.SyncEdge) {
+	if w.record {
+		w.syncs = append(w.syncs, e)
+	}
 }
 
 func (w *world) stepComm(rs *rankState, o *op) bool {
@@ -905,11 +1015,11 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		}
 		rs.requests[o.req] = append(rs.requests[o.req], rq)
 		rs.pending = append(rs.pending, rq)
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			Peer: int32(o.peer), Bytes: o.bytes,
-		}, w.cfg)
+		})
 		rs.cur.advance()
 		return true
 
@@ -921,11 +1031,11 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		}
 		rs.requests[o.req] = append(rs.requests[o.req], rq)
 		rs.pending = append(rs.pending, rq)
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			Peer: int32(o.peer), Bytes: o.bytes,
-		}, w.cfg)
+		})
 		rs.cur.advance()
 		return true
 
@@ -946,14 +1056,14 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		if wait < 0 {
 			wait = 0
 		}
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: msg.postTime, End: end, Wait: wait,
 			Peer: int32(o.peer), Bytes: o.bytes,
-		}, w.cfg)
+		})
 		if !msg.eager && msg.matchedRecv != nil && wait > 0 {
 			rp := msg.matchedRecv
-			w.syncs = append(w.syncs, trace.SyncEdge{
+			w.sync(trace.SyncEdge{
 				Kind:    trace.SyncRendezvous,
 				SrcRank: int32(rp.dstRank), SrcThread: -1, SrcNode: rp.dstNode,
 				DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
@@ -984,13 +1094,13 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		if peer == anySource && rp.msg != nil {
 			peer = rp.msg.srcRank
 		}
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: rp.postTime, End: end, Wait: wait,
 			Peer: int32(peer), Bytes: o.bytes,
-		}, w.cfg)
+		})
 		if rp.msg != nil {
-			w.syncs = append(w.syncs, trace.SyncEdge{
+			w.sync(trace.SyncEdge{
 				Kind:    trace.SyncMessage,
 				SrcRank: int32(rp.msg.srcRank), SrcThread: -1, SrcNode: rp.msg.srcNode,
 				DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
@@ -1007,10 +1117,10 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		if len(reqs) == 0 {
 			// Wait with no outstanding request completes immediately
 			// (matching MPI semantics for a null request).
-			rs.emit(trace.Event{
+			w.emit(rs, trace.Event{
 				Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 				Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
-			}, w.cfg)
+			})
 			rs.cur.advance()
 			return true
 		}
@@ -1027,11 +1137,11 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		if waitPeer == anySource && rq.rp != nil && rq.rp.msg != nil {
 			waitPeer = rq.rp.msg.srcRank
 		}
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 			Wait: rs.clock - start, Peer: int32(waitPeer), Bytes: rq.bytes,
-		}, w.cfg)
+		})
 		w.recordRequestSync(rs, o.node, rq, start)
 		rs.requests[o.req] = reqs[1:]
 		rs.removePending(rq)
@@ -1053,11 +1163,11 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		if latest > rs.clock {
 			rs.clock = latest
 		}
-		rs.emit(trace.Event{
+		w.emit(rs, trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 			Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 			Wait: rs.clock - start, Peer: -1,
-		}, w.cfg)
+		})
 		for _, rq := range rs.pending {
 			w.recordRequestSync(rs, o.node, rq, start)
 		}
@@ -1116,13 +1226,13 @@ func (w *world) stepCollective(rs *rankState, o *op) bool {
 		wait = 0
 	}
 	rs.clock = coll.completion
-	rs.emit(trace.Event{
+	w.emit(rs, trace.Event{
 		Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
 		Node: o.node, Ctx: o.ctx, Start: start, End: coll.completion,
 		Wait: wait, Peer: -1, Bytes: o.bytes,
-	}, w.cfg)
+	})
 	if rs.rank != coll.maxArrRank && wait > 0 {
-		w.syncs = append(w.syncs, trace.SyncEdge{
+		w.sync(trace.SyncEdge{
 			Kind:    trace.SyncCollective,
 			SrcRank: int32(coll.maxArrRank), SrcThread: -1, SrcNode: coll.maxArrNode,
 			DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
@@ -1149,7 +1259,7 @@ func (w *world) recordRequestSync(rs *rankState, waitNode ir.NodeID, rq *request
 	}
 	if rq.rp != nil && rq.rp.msg != nil {
 		m := rq.rp.msg
-		w.syncs = append(w.syncs, trace.SyncEdge{
+		w.sync(trace.SyncEdge{
 			Kind:    trace.SyncMessage,
 			SrcRank: int32(m.srcRank), SrcThread: -1, SrcNode: m.srcNode,
 			DstRank: int32(rs.rank), DstThread: -1, DstNode: waitNode,
@@ -1159,7 +1269,7 @@ func (w *world) recordRequestSync(rs *rankState, waitNode ir.NodeID, rq *request
 	}
 	if rq.msg != nil && !rq.msg.eager && rq.msg.matchedRecv != nil {
 		rp := rq.msg.matchedRecv
-		w.syncs = append(w.syncs, trace.SyncEdge{
+		w.sync(trace.SyncEdge{
 			Kind:    trace.SyncRendezvous,
 			SrcRank: int32(rp.dstRank), SrcThread: -1, SrcNode: rp.dstNode,
 			DstRank: int32(rs.rank), DstThread: -1, DstNode: waitNode,

@@ -681,6 +681,7 @@ func TestGatherScatterCollectives(t *testing.T) {
 // refFlattener is the unrolling flattener the cursor replaced: it pushes a
 // comm-per-iter loop's body once per iteration and names each Sendrecv
 // expansion as it goes. It is the oracle for the cursor's op stream.
+// Durations are undilated: replay applies sampling and straggler dilation.
 type refFlattener struct {
 	prog   *ir.Program
 	rank   int
@@ -711,11 +712,11 @@ func (f *refFlattener) nodes(ns []ir.Node, ctx trace.CtxID, mult float64) error 
 func (f *refFlattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	switch x := n.(type) {
 	case *ir.Compute:
-		dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+		dur := x.Cost.Value(f.rank, f.nranks) * mult
 		if dur <= 0 {
 			return nil
 		}
-		return f.push(op{kind: opCompute, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
+		return f.push(op{kind: opCompute, sampled: true, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
 	case *ir.Loop:
 		trips := x.Trips.Value(f.rank, f.nranks)
 		if trips <= 0 {
@@ -739,11 +740,11 @@ func (f *refFlattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 	case *ir.Call:
 		callCtx := f.cct.Intern(ctx, x.ID())
 		if x.External || x.Indirect {
-			dur := x.Cost.Value(f.rank, f.nranks) * mult * f.cfg.slowdown() * f.cfg.slowFor(f.rank)
+			dur := x.Cost.Value(f.rank, f.nranks) * mult
 			if dur <= 0 {
 				return nil
 			}
-			return f.push(op{kind: opCompute, node: x.ID(), ctx: callCtx, dur: dur})
+			return f.push(op{kind: opCompute, sampled: true, node: x.ID(), ctx: callCtx, dur: dur})
 		}
 		callee := f.prog.Function(x.Callee)
 		if callee == nil {
@@ -812,7 +813,7 @@ func (f *refFlattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		case *ir.Alloc:
 			cnt, hold, id = y.Count.Value(f.rank, f.nranks), y.Hold.Value(f.rank, f.nranks), y.ID()
 		}
-		dur := cnt * hold * mult * f.cfg.slowFor(f.rank)
+		dur := cnt * hold * mult
 		if dur <= 0 {
 			return nil
 		}
@@ -834,7 +835,7 @@ func checkStreamMatchesReference(t *testing.T, name string, p *ir.Program, nrank
 	for r := 0; r < nranks; r++ {
 		ref := &refFlattener{prog: p, rank: r, nranks: nranks, cfg: cfg, cct: refCCT}
 		refErr := ref.nodes(entry.Body, refCCT.Intern(trace.NoCtx, entry.ID()), 1)
-		fl := &flattener{prog: p, rank: r, nranks: nranks, cfg: cfg, cct: cct}
+		fl := &flattener{prog: p, rank: r, nranks: nranks, maxOps: cfg.MaxOpsPerRank, cct: cct}
 		err := fl.nodes(entry.Body, cct.Intern(trace.NoCtx, entry.ID()), 1)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s@%d rank %d: error %v, reference %v", name, nranks, r, err, refErr)
@@ -986,7 +987,7 @@ func TestStreamMatchesReferenceLoops(t *testing.T) {
 	}
 	// Sendrecv request names stay unique per expansion across iterations.
 	p := cases["sendrecv-in-loops"]
-	fl := &flattener{prog: p, nranks: 4, cfg: Config{NRanks: 4}.withDefaults(), cct: trace.NewCCT()}
+	fl := &flattener{prog: p, nranks: 4, maxOps: Config{}.withDefaults().MaxOpsPerRank, cct: trace.NewCCT()}
 	entry := p.Function(p.Entry)
 	if err := fl.nodes(entry.Body, fl.cct.Intern(trace.NoCtx, entry.ID()), 1); err != nil {
 		t.Fatal(err)

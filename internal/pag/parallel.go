@@ -171,12 +171,12 @@ type rankShard struct {
 	run  *trace.Run
 	rank int32
 
-	g       *graph.Graph
-	nodeOf  []ir.NodeID                   // per local vertex
-	keys    []FlowKey                     // per local vertex: its flow key
-	flowIdx map[FlowKey]graph.VertexID    // (rank,thread,node) -> local vertex
-	edgeIdx map[edgeKey]graph.EdgeID      // aggregated-edge dedup index
-	streams map[int32][]graph.VertexID    // per thread: flow vertex sequence
+	g          *graph.Graph
+	nodeOf     []ir.NodeID                // per local vertex
+	keys       []FlowKey                  // per local vertex: its flow key
+	flowIdx    map[FlowKey]graph.VertexID // (rank,thread,node) -> local vertex
+	edgeIdx    map[edgeKey]graph.EdgeID   // aggregated-edge dedup index
+	streams    map[int32][]graph.VertexID // per thread: flow vertex sequence
 	inStream   []bool                     // per local vertex: already in its stream
 	lastInFlow map[int32]graph.VertexID   // per thread: last vertex visited
 

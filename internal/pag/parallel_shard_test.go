@@ -2,7 +2,9 @@ package pag
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"perflow/internal/mpisim"
 	"perflow/internal/workloads"
@@ -63,27 +65,61 @@ func TestShardedBuildIdenticalWithThreads(t *testing.T) {
 	}
 }
 
+// table1 lists the paper's Table-1 programs.
+var table1 = []string{"bt", "cg", "ep", "ft", "mg", "sp", "lu", "is", "zeusmp", "lammps", "vite"}
+
 // TestEmbedRunParallelIdenticalAcrossParallelism checks that sharded data
 // embedding produces the same top-down view at every worker count (the
-// shard merge is rank-ordered, so float accumulation order is fixed).
+// shard merge is rank-ordered, so float accumulation order is fixed). Rank
+// counts of 7 and 64 at Parallelism 3 leave the accumulator window of
+// 2×workers partly filled in the last round.
 func TestEmbedRunParallelIdenticalAcrossParallelism(t *testing.T) {
+	for _, name := range table1 {
+		prog, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range []int{1, 7, 64} {
+			run, err := mpisim.Run(prog, mpisim.Config{NRanks: ranks, Threads: 4})
+			if err != nil {
+				continue // the program does not run at this size
+			}
+			embed := func(par int) []byte {
+				td := BuildTopDown(prog)
+				td.EmbedRunParallel(run, PMUModel{}, BuildOptions{Parallelism: par})
+				return serializePAG(t, td)
+			}
+			want := embed(1)
+			for _, par := range []int{2, 3, 8} {
+				if got := embed(par); !bytes.Equal(want, got) {
+					t.Fatalf("%s@%d: EmbedRunParallel at Parallelism=%d differs from sequential", name, ranks, par)
+				}
+			}
+		}
+	}
+}
+
+// TestEmbedRunParallelMemoryBound checks the accumulator window: embedding
+// 64 ranks on 2 workers holds at most 2×workers |V|-sized accumulator
+// arrays, far below one per rank.
+func TestEmbedRunParallelMemoryBound(t *testing.T) {
 	prog, err := workloads.Get("zeusmp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := mpisim.Run(prog, mpisim.Config{NRanks: 16})
+	run, err := mpisim.Run(prog, mpisim.Config{NRanks: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	embed := func(par int) []byte {
-		td := BuildTopDown(prog)
-		td.EmbedRunParallel(run, PMUModel{}, BuildOptions{Parallelism: par})
-		return serializePAG(t, td)
-	}
-	want := embed(1)
-	for _, par := range []int{2, 8} {
-		if got := embed(par); !bytes.Equal(want, got) {
-			t.Fatalf("EmbedRunParallel at Parallelism=%d differs from sequential", par)
-		}
+	td := BuildTopDown(prog)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	td.EmbedRunParallel(run, PMUModel{}, BuildOptions{Parallelism: 2})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := 8 * uint64(td.G.NumVertices()) * uint64(unsafe.Sizeof(embedAcc{}))
+	t.Logf("embed allocated %d bytes, limit %d (|V| = %d)", got, limit, td.G.NumVertices())
+	if got >= limit {
+		t.Fatalf("embed allocated %d bytes, want < %d (8 × |V| × accumulator size)", got, limit)
 	}
 }

@@ -2,6 +2,8 @@ package pag
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"perflow/internal/graph"
 	"perflow/internal/ir"
@@ -136,11 +138,15 @@ const (
 // EmbedRunParallel is EmbedRun with an explicit parallelism bound. Each
 // rank's events accumulate into a private shard — a flat per-vertex
 // accumulator array, so the hot loop does slice indexing instead of map
-// hashing — then shards merge in vertex order within rank order. Ranks
-// never share an accumulator slot and the shard phase only reads the PAG
-// (resolveCtx/VertexOf are pure lookups), so shards build concurrently.
-// Results are identical at every Parallelism setting; EmbedRun delegates
-// here, so the shard path is the only embedding path.
+// hashing — and shards merge strictly in rank order, in vertex order within
+// a rank. The shard phase only reads the PAG (resolveCtx/VertexOf are pure
+// lookups), so shards build concurrently while the calling goroutine
+// merges: a bounded pipeline over a window of at most 2×workers reused
+// accumulator arrays, where a worker waits for its slot's previous rank to
+// be merged before filling it. Embedding memory is O(workers×|V|), not
+// O(ranks×|V|). The merge order fixes every float sum, so results are
+// identical at every Parallelism setting; EmbedRun delegates here, so the
+// shard path is the only embedding path.
 func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) {
 	pmu = pmu.withDefaults()
 	p.NRanks = run.NRanks
@@ -149,56 +155,109 @@ func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nv := p.G.NumVertices()
-	shards := make([][]embedAcc, len(run.Events))
-	forEachRank(len(shards), workers, func(r int) {
-		shards[r] = p.embedRankShard(run, r, nv, pmu)
-	})
-	for rank, accs := range shards {
-		for vi := range accs {
-			a := &accs[vi]
-			if a.set == 0 {
-				continue
-			}
-			v := p.G.Vertex(graph.VertexID(vi))
-			if a.set&accExcl != 0 {
-				v.AddMetric(MetricExclTime, a.excl)
-			}
-			if a.set&accCount != 0 {
-				v.AddMetric(MetricCount, a.count)
-			}
-			if a.set&accWait != 0 {
-				v.AddMetric(MetricWait, a.wait)
-			}
-			if a.set&accBytes != 0 {
-				v.AddMetric(MetricBytes, a.bytes)
-			}
-			if a.set&accCycles != 0 {
-				v.AddMetric(MetricCycles, a.cycles)
-			}
-			if a.set&accInstrs != 0 {
-				v.AddMetric(MetricInstrs, a.instrs)
-			}
-			if a.set&accCmiss != 0 {
-				v.AddMetric(MetricCacheMiss, a.cmiss)
-			}
-			if a.set&accTime != 0 {
-				v.AddMetric(MetricTime, a.time)
-			}
-			if a.set&accWaitVec != 0 {
-				v.AddVecAt(MetricWait+"_vec", rank, a.waitVec)
-			}
-			if a.set&accTimeVec != 0 {
-				v.AddVecAt(MetricTime+"_vec", rank, a.timeVec)
-			}
+	n, nv := len(run.Events), p.G.NumVertices()
+	workers = min(workers, n)
+	if workers <= 1 {
+		accs := make([]embedAcc, nv)
+		for r := 0; r < n; r++ {
+			p.embedRankShard(run, r, accs, pmu)
+			p.mergeEmbed(r, accs)
 		}
+		return
+	}
+	slots := make([][]embedAcc, min(2*workers, n))
+	ready := make([]chan struct{}, len(slots)) // slot filled, awaiting merge
+	free := make([]chan struct{}, len(slots))  // slot merged, awaiting refill
+	for i := range slots {
+		slots[i] = make([]embedAcc, nv)
+		ready[i] = make(chan struct{}, 1)
+		free[i] = make(chan struct{}, 1)
+		free[i] <- struct{}{}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				r := int(next.Add(1) - 1)
+				if r >= n {
+					return
+				}
+				// Ranks are claimed in order, so the rank this slot last
+				// held is always below r and its merge never waits on r.
+				s := r % len(slots)
+				<-free[s]
+				p.embedRankShard(run, r, slots[s], pmu)
+				ready[s] <- struct{}{}
+			}
+		}()
+	}
+	for r := 0; r < n; r++ {
+		s := r % len(slots)
+		<-ready[s]
+		p.mergeEmbed(r, slots[s])
+		free[s] <- struct{}{}
+	}
+	wg.Wait()
+}
+
+// mergeEmbed adds one rank's accumulators to the PAG's vertex metrics and
+// zeroes them for reuse.
+func (p *PAG) mergeEmbed(rank int, accs []embedAcc) {
+	for vi := range accs {
+		a := &accs[vi]
+		if a.set == 0 {
+			continue
+		}
+		v := p.G.Vertex(graph.VertexID(vi))
+		if a.set&accExcl != 0 {
+			v.AddMetric(MetricExclTime, a.excl)
+		}
+		if a.set&accCount != 0 {
+			v.AddMetric(MetricCount, a.count)
+		}
+		if a.set&accWait != 0 {
+			v.AddMetric(MetricWait, a.wait)
+		}
+		if a.set&accBytes != 0 {
+			v.AddMetric(MetricBytes, a.bytes)
+		}
+		if a.set&accCycles != 0 {
+			v.AddMetric(MetricCycles, a.cycles)
+		}
+		if a.set&accInstrs != 0 {
+			v.AddMetric(MetricInstrs, a.instrs)
+		}
+		if a.set&accCmiss != 0 {
+			v.AddMetric(MetricCacheMiss, a.cmiss)
+		}
+		if a.set&accTime != 0 {
+			v.AddMetric(MetricTime, a.time)
+		}
+		if a.set&accWaitVec != 0 {
+			addVecAt(v, MetricWait+"_vec", rank, p.NRanks, a.waitVec)
+		}
+		if a.set&accTimeVec != 0 {
+			addVecAt(v, MetricTime+"_vec", rank, p.NRanks, a.timeVec)
+		}
+		*a = embedAcc{}
 	}
 }
 
-// embedRankShard folds one rank's events into a fresh accumulator array,
+// addVecAt is Vertex.AddVecAt with a new vector's capacity sized for every
+// rank, so it grows in place as later ranks merge.
+func addVecAt(v *graph.Vertex, m string, rank, nranks int, val float64) {
+	if v.Vec(m) == nil {
+		v.SetVec(m, make([]float64, 0, nranks))
+	}
+	v.AddVecAt(m, rank, val)
+}
+
+// embedRankShard folds one rank's events into accs, which must be zeroed,
 // mirroring the per-event logic of the paper's data-embedding step.
-func (p *PAG) embedRankShard(run *trace.Run, rank, nv int, pmu PMUModel) []embedAcc {
-	accs := make([]embedAcc, nv)
+func (p *PAG) embedRankShard(run *trace.Run, rank int, accs []embedAcc, pmu PMUModel) {
 	evs := run.Events[rank]
 	for i := range evs {
 		e := &evs[i]
@@ -249,7 +308,6 @@ func (p *PAG) embedRankShard(run *trace.Run, rank, nv int, pmu PMUModel) []embed
 			a.set |= accTime | accTimeVec
 		}
 	}
-	return accs
 }
 
 // resolveCtx resolves an event to its top-down vertex by walking the

@@ -90,11 +90,35 @@ type Model struct {
 	// with guard/loop context relative to the function entry. Only
 	// summaries computed without a recursion cut are kept (see summarize).
 	summaries map[string][]Item
+	// work counts what New has built so far, against MaxWork.
+	work int
 }
 
-// New derives the symbolic dataflow model of a program. It fails only when
-// the program has no entry function; a cyclic static call graph is cut at
-// the back edge on each call path, as a per-rank walk of the IR would.
+// MaxWork bounds the work of New, counted as the items it creates (every
+// event and cost item, and every copy inlined at a call site) plus the
+// function bodies it summarizes. Inlined streams can outgrow any program
+// text: a recursion cut per call path makes n mutually recursive functions
+// cost about n! summaries, and a chain of functions that each call the next
+// twice doubles the stream per link. The largest corpus program, mg, takes
+// 4,307 (its stream has 1,412 items), so every corpus program keeps over
+// 100× headroom, and a runaway program is refused in under 100 ms on a
+// 2-vCPU Xeon.
+const MaxWork = 450_000
+
+// TooLargeError reports a program whose symbolic summary would exceed
+// MaxWork.
+type TooLargeError struct {
+	Limit int
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("sdf: program too large to summarize: its inlined call graph exceeds %d items", e.Limit)
+}
+
+// New derives the symbolic dataflow model of a program. It fails when the
+// program has no entry function, and with a *TooLargeError when summarizing
+// it would exceed MaxWork; a cyclic static call graph is cut at the back
+// edge on each call path, as a per-rank walk of the IR would.
 func New(prog *ir.Program) (*Model, error) {
 	entry := prog.Function(prog.Entry)
 	if entry == nil {
@@ -102,7 +126,10 @@ func New(prog *ir.Program) (*Model, error) {
 	}
 	m := &Model{Prog: prog, summaries: map[string][]Item{}}
 	items, _ := m.summarize(entry, map[string]bool{})
-	m.Items = expand(items, nil, nil)
+	m.Items = m.expand(items, nil, nil)
+	if m.work > MaxWork {
+		return nil, &TooLargeError{Limit: MaxWork}
+	}
 	for i := range m.Items {
 		if ev := m.Items[i].Ev; ev != nil {
 			m.Events = append(m.Events, ev)
@@ -125,6 +152,7 @@ func (m *Model) summarize(f *ir.Function, onStack map[string]bool) ([]Item, bool
 	if s, ok := m.summaries[f.Name]; ok {
 		return s, false
 	}
+	m.work++
 	onStack[f.Name] = true
 	items, cut := m.walk(f.Body, f.Name, nil, nil, onStack)
 	onStack[f.Name] = false
@@ -145,14 +173,19 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 		cut = cut || c
 	}
 	costItem := func(n ir.Node, eval func(rank, nranks int) float64) {
+		m.work++
 		out = append(out, Item{Cost: &CostItem{
 			Node: n, Fn: fn, Guards: guards, Loops: loops, eval: eval,
 		}})
 	}
 	for _, n := range ns {
+		if m.work > MaxWork {
+			return nil, cut // New rejects the program
+		}
 		switch x := n.(type) {
 		case *ir.Comm:
 			emit := func(op ir.CommKind, peer ir.Peer) {
+				m.work++
 				out = append(out, Item{Ev: &Event{
 					Node: x, Op: op, Fn: fn, Peer: peer,
 					Guards: guards, Loops: loops,
@@ -188,7 +221,7 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 				continue
 			}
 			items, c := m.summarize(callee, onStack)
-			sub(expand(items, guards, loops), c)
+			sub(m.expand(items, guards, loops), c)
 
 		case *ir.Compute:
 			cost := x.Cost
@@ -219,20 +252,37 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 
 // expand prefixes a caller context onto a summary's items — the
 // interprocedural composition step. With an empty prefix it still copies,
-// so one summary inlined at two call sites yields independent events.
-func expand(items []Item, guards []*ir.Branch, loops []*ir.Loop) []Item {
-	out := make([]Item, 0, len(items))
+// so one summary inlined at two call sites yields independent events. It
+// copies nothing once the copies would exceed MaxWork.
+func (m *Model) expand(items []Item, guards []*ir.Branch, loops []*ir.Loop) []Item {
+	if m.work += len(items); m.work > MaxWork {
+		return nil
+	}
+	// The copies come from two slabs, one allocation each.
+	nev := 0
 	for _, it := range items {
 		if it.Ev != nil {
-			ev := *it.Ev
+			nev++
+		}
+	}
+	evs := make([]Event, nev)
+	costs := make([]CostItem, len(items)-nev)
+	out := make([]Item, len(items))
+	for i, it := range items {
+		if it.Ev != nil {
+			ev := &evs[0]
+			evs = evs[1:]
+			*ev = *it.Ev
 			ev.Guards = joinCtx(guards, ev.Guards)
 			ev.Loops = joinCtx(loops, ev.Loops)
-			out = append(out, Item{Ev: &ev})
+			out[i].Ev = ev
 		} else {
-			c := *it.Cost
+			c := &costs[0]
+			costs = costs[1:]
+			*c = *it.Cost
 			c.Guards = joinCtx(guards, c.Guards)
 			c.Loops = joinCtx(loops, c.Loops)
-			out = append(out, Item{Cost: &c})
+			out[i].Cost = c
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"perflow/internal/ir"
 	"perflow/internal/mpisim"
@@ -335,5 +336,65 @@ end
 	want := []string{"a:11", "b:21", "b:23", "b:21", "a:11", "b:23"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("event stream %v, want %v", got, want)
+	}
+}
+
+// allCallsAll is a program of n functions that each run an allreduce and
+// call every other function: with the recursion cut per call path, its
+// inlined stream grows factorially in n.
+func allCallsAll(n int) string {
+	var b strings.Builder
+	b.WriteString("program acc\nfunc main file a.c line 1\n  call f0 line 2\nend\n")
+	line := 10
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "func f%d file a.c line %d\n  mpi allreduce line %d bytes 8\n", i, line, line+1)
+		line += 2
+		for j := 0; j < n; j++ {
+			if j != i {
+				fmt.Fprintf(&b, "  call f%d line %d\n", j, line)
+				line++
+			}
+		}
+		b.WriteString("end\n")
+	}
+	return b.String()
+}
+
+// TestNewBoundsWork: a program whose inlined call graph explodes is refused
+// with a *TooLargeError quickly, both under recursion cuts (all-calls-all)
+// and without any (a chain of functions that each call the next twice),
+// while every corpus program stays at least 100× below the bound.
+func TestNewBoundsWork(t *testing.T) {
+	var chain strings.Builder
+	chain.WriteString("program chain\nfunc main file c.c line 1\n  call f0 line 2\nend\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&chain, "func f%d file c.c line %d\n  mpi barrier line %d\n  call f%d line %d\n  call f%d line %d\nend\n",
+			i, 10*i+10, 10*i+11, i+1, 10*i+12, i+1, 10*i+13)
+	}
+	chain.WriteString("func f30 file c.c line 400\n  mpi barrier line 401\nend\n")
+	for name, src := range map[string]string{"all-calls-all-9": allCallsAll(9), "doubling-chain-30": chain.String()} {
+		prog, err := ir.ParseLenient(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = sdf.New(prog)
+		elapsed := time.Since(start)
+		var tooLarge *sdf.TooLargeError
+		if !errors.As(err, &tooLarge) || tooLarge.Limit != sdf.MaxWork {
+			t.Fatalf("%s: New error %v, want a TooLargeError", name, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: rejection took %v, want under 1s", name, elapsed)
+		}
+	}
+	for name, prog := range allPrograms(t) {
+		model, err := sdf.New(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w := sdf.WorkOf(model); 100*w > sdf.MaxWork {
+			t.Errorf("%s: work %d leaves less than 100x headroom under %d", name, w, sdf.MaxWork)
+		}
 	}
 }

@@ -137,6 +137,23 @@ end
 `, trips)
 }
 
+// allCallsAllDSL is n functions that each run an allreduce and call every
+// other one: too large to lint at n = 9.
+func allCallsAllDSL(n int) string {
+	var b strings.Builder
+	b.WriteString("program acc\nfunc main file a.c line 1\n  call f0 line 2\nend\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "func f%d file a.c line %d\n  mpi allreduce line %d bytes 8\n", i, 100*i+10, 100*i+11)
+		for j := 0; j < n; j++ {
+			if j != i {
+				fmt.Fprintf(&b, "  call f%d line %d\n", j, 100*i+20+j)
+			}
+		}
+		b.WriteString("end\n")
+	}
+	return b.String()
+}
+
 // TestSubmitPollResult is the primary e2e path: submit a workload job,
 // poll to completion, and check the report is byte-identical to the
 // equivalent CLI invocation (both sides run perflow.AnalyzeCtx).
@@ -331,6 +348,7 @@ func TestValidation422(t *testing.T) {
 		{"parse_error", SubmitRequest{AnalysisRequest: perflow.AnalysisRequest{DSL: "program p\nfunc main\n"}}},
 		{"scalability_needs_ranks2", SubmitRequest{AnalysisRequest: perflow.AnalysisRequest{Workload: "cg", Analysis: "scalability", Ranks: 8, Ranks2: 4}}},
 		{"ranks_limit", SubmitRequest{AnalysisRequest: perflow.AnalysisRequest{Workload: "cg", Ranks: 1 << 20}}},
+		{"too_large_to_lint", SubmitRequest{AnalysisRequest: perflow.AnalysisRequest{DSL: allCallsAllDSL(9)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

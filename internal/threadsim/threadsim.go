@@ -49,7 +49,9 @@ const handoffAlpha = 0.25
 // Simulate executes region for one rank. prog resolves callees; rank/nranks
 // evaluate expressions; threads is the region's thread count (region.Threads
 // overrides when nonzero); cct interns contexts under regionCtx; start is
-// the rank-local time at region entry (event timestamps are absolute).
+// the rank-local time at region entry (event timestamps are absolute). A
+// nil cct simulates timing only: the result carries Elapsed and LockWait
+// but no events or sync edges.
 func Simulate(prog *ir.Program, region *ir.Parallel, rank, nranks, threads int,
 	cct *trace.CCT, regionCtx trace.CtxID, start float64) (*Result, error) {
 
@@ -76,6 +78,7 @@ func Simulate(prog *ir.Program, region *ir.Parallel, rank, nranks, threads int,
 		holders: map[string]holder{},
 		syncAgg: map[syncKey]*syncAcc{},
 		result:  res,
+		record:  cct != nil,
 	}
 
 	// Event-driven interleaving across threads.
@@ -99,12 +102,13 @@ func Simulate(prog *ir.Program, region *ir.Parallel, rank, nranks, threads int,
 		op := &fl.ops[th.pc]
 		switch op.kind {
 		case topCompute:
-			ev := trace.Event{
-				Rank: int32(rank), Thread: int32(th.id), Kind: trace.KindCompute,
-				Node: op.node, Ctx: op.ctx,
-				Start: start + th.clock, End: start + th.clock + op.dur,
+			if st.record {
+				res.Events = append(res.Events, trace.Event{
+					Rank: int32(rank), Thread: int32(th.id), Kind: trace.KindCompute,
+					Node: op.node, Ctx: op.ctx,
+					Start: start + th.clock, End: start + th.clock + op.dur,
+				})
 			}
-			res.Events = append(res.Events, ev)
 			th.clock += op.dur
 			th.pc++
 		case topLock:
@@ -139,6 +143,7 @@ type simState struct {
 	holders map[string]holder  // lock name -> last holder
 	syncAgg map[syncKey]*syncAcc
 	result  *Result
+	record  bool // false: timing only, no events or sync edges
 }
 
 // flushSyncs converts the aggregated contention records into SyncEdges in a
@@ -221,7 +226,7 @@ func (st *simState) lockStep(th *threadState, op *top, rank int, start float64, 
 		}
 		hold += op.hold * handoffAlpha * float64(waiters)
 		// Record who we waited behind: the previous holder of this lock.
-		if h, ok := st.holders[op.lock]; ok && (h.thread != th.id || h.node != op.node) {
+		if h, ok := st.holders[op.lock]; ok && st.record && (h.thread != th.id || h.node != op.node) {
 			k := syncKey{src: h, dst: holder{thread: th.id, node: op.node}, lock: op.lock}
 			acc := st.syncAgg[k]
 			if acc == nil {
@@ -240,6 +245,9 @@ func (st *simState) lockStep(th *threadState, op *top, rank int, start float64, 
 		return false
 	}
 	res.LockWait += th.batchWait
+	if !st.record {
+		return true
+	}
 	kind := trace.KindLock
 	if op.isAlloc {
 		kind = trace.KindAlloc
@@ -302,8 +310,16 @@ type flattener struct {
 	nranks    int
 	threads   int
 	workshare bool
-	cct       *trace.CCT
+	cct       *trace.CCT // nil: contexts are not interned
 	ops       []top
+}
+
+// intern interns node under ctx, or returns NoCtx when timing only.
+func (f *flattener) intern(ctx trace.CtxID, node ir.NodeID) trace.CtxID {
+	if f.cct == nil {
+		return trace.NoCtx
+	}
+	return f.cct.Intern(ctx, node)
 }
 
 // lockCount evaluates an acquisition count under worksharing: like compute
@@ -339,21 +355,21 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		}
 		f.ops = append(f.ops, top{
 			kind: topCompute, node: x.ID(),
-			ctx: f.cct.Intern(ctx, x.ID()), dur: dur,
+			ctx: f.intern(ctx, x.ID()), dur: dur,
 		})
 	case *ir.Loop:
 		trips := x.Trips.Value(f.rank, f.nranks)
 		if trips <= 0 {
 			return nil
 		}
-		return f.nodes(x.Body, f.cct.Intern(ctx, x.ID()), mult*trips)
+		return f.nodes(x.Body, f.intern(ctx, x.ID()), mult*trips)
 	case *ir.Branch:
 		if x.Taken.Value(f.rank, f.nranks) == 0 {
 			return nil
 		}
-		return f.nodes(x.Body, f.cct.Intern(ctx, x.ID()), mult)
+		return f.nodes(x.Body, f.intern(ctx, x.ID()), mult)
 	case *ir.Call:
-		callCtx := f.cct.Intern(ctx, x.ID())
+		callCtx := f.intern(ctx, x.ID())
 		if x.External || x.Indirect {
 			dur := x.Cost.Value(f.rank, f.nranks) * mult
 			if dur > 0 {
@@ -365,14 +381,14 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		if callee == nil {
 			return fmt.Errorf("threadsim: call to undefined function %q", x.Callee)
 		}
-		return f.nodes(callee.Body, f.cct.Intern(callCtx, callee.ID()), mult)
+		return f.nodes(callee.Body, f.intern(callCtx, callee.ID()), mult)
 	case *ir.Mutex:
 		cnt := f.lockCount(x.Count, mult)
 		if cnt <= 0 {
 			return nil
 		}
 		f.ops = append(f.ops, top{
-			kind: topLock, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()),
+			kind: topLock, node: x.ID(), ctx: f.intern(ctx, x.ID()),
 			lock: x.LockName, hold: x.Hold.Value(f.rank, f.nranks), count: cnt,
 		})
 	case *ir.Alloc:
@@ -381,7 +397,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 			return nil
 		}
 		f.ops = append(f.ops, top{
-			kind: topLock, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()),
+			kind: topLock, node: x.ID(), ctx: f.intern(ctx, x.ID()),
 			lock: allocLockName, hold: x.Hold.Value(f.rank, f.nranks),
 			count: cnt, isAlloc: true,
 		})
