@@ -248,11 +248,10 @@ func (f *Flat) Replay(ctx context.Context, cfg Config) (*trace.Run, error) {
 		ThreadsPerRank: cfg.Threads,
 		CCT:            f.cct,
 		Events:         make([][]trace.Event, cfg.NRanks),
-		Elapsed:        make([]float64, cfg.NRanks),
+		Elapsed:        w.clocks(),
 	}
 	for r, rs := range w.ranks {
 		run.Events[r] = rs.events
-		run.Elapsed[r] = rs.clock
 	}
 	run.Syncs = w.syncs
 	if cfg.Faults != nil {
@@ -274,8 +273,8 @@ func (f *Flat) Replay(ctx context.Context, cfg Config) (*trace.Run, error) {
 // Makespan replays the flattened program under cfg for timing only: it
 // matches messages, resolves waits, injects faults, truncates stalls and
 // advances clocks exactly as Replay does, but records no events or sync
-// edges and interns no contexts. It returns the latest rank clock, which
-// equals TotalTime of the run Replay would return.
+// edges and interns no contexts. It returns the TotalTime of the run
+// Replay would return.
 func (f *Flat) Makespan(ctx context.Context, cfg Config) (float64, error) {
 	w, err := f.newWorld(cfg, false)
 	if err != nil {
@@ -284,13 +283,16 @@ func (f *Flat) Makespan(ctx context.Context, cfg Config) (float64, error) {
 	if err := w.replay(ctx); err != nil {
 		return 0, err
 	}
-	var m float64
-	for _, rs := range w.ranks {
-		if rs.clock > m {
-			m = rs.clock
-		}
+	return trace.Makespan(w.clocks()), nil
+}
+
+// clocks returns every rank's final clock, in rank order.
+func (w *world) clocks() []float64 {
+	c := make([]float64, len(w.ranks))
+	for r, rs := range w.ranks {
+		c[r] = rs.clock
 	}
-	return m, nil
+	return c
 }
 
 // newWorld sets up the replay state of f under cfg; record selects whether

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"perflow/internal/mpisim"
@@ -96,6 +97,37 @@ func TestEmbedRunParallelIdenticalAcrossParallelism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEmbedRunParallelStalledWorker stalls the worker that received rank 0
+// before it fills its slot, long enough for the other worker to finish
+// every rank it can get. A rank that shares rank 0's slot must not start
+// until rank 0 is merged, or its accumulators would merge as rank 0's and
+// swap the two ranks' _vec entries.
+func TestEmbedRunParallelStalledWorker(t *testing.T) {
+	prog, err := workloads.Get("zeusmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := mpisim.Run(prog, mpisim.Config{NRanks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	embed := func(par int) []byte {
+		td := BuildTopDown(prog)
+		td.EmbedRunParallel(run, PMUModel{}, BuildOptions{Parallelism: par})
+		return serializePAG(t, td)
+	}
+	want := embed(1)
+	embedFillHook = func(rank int) {
+		if rank == 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	defer func() { embedFillHook = nil }()
+	if got := embed(2); !bytes.Equal(want, got) {
+		t.Fatal("EmbedRunParallel with a stalled worker differs from sequential")
 	}
 }
 

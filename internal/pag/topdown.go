@@ -3,7 +3,6 @@ package pag
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"perflow/internal/graph"
 	"perflow/internal/ir"
@@ -141,12 +140,13 @@ const (
 // hashing — and shards merge strictly in rank order, in vertex order within
 // a rank. The shard phase only reads the PAG (resolveCtx/VertexOf are pure
 // lookups), so shards build concurrently while the calling goroutine
-// merges: a bounded pipeline over a window of at most 2×workers reused
-// accumulator arrays, where a worker waits for its slot's previous rank to
-// be merged before filling it. Embedding memory is O(workers×|V|), not
-// O(ranks×|V|). The merge order fixes every float sum, so results are
-// identical at every Parallelism setting; EmbedRun delegates here, so the
-// shard path is the only embedding path.
+// merges: a bounded pipeline over a window of W = min(2×workers, ranks)
+// reused accumulator arrays. The merge hands out the ranks: it queues ranks
+// 0..W-1, and queues rank r+W only once rank r is merged, so slot r mod W
+// holds one rank at a time however the workers are scheduled. Embedding
+// memory is O(workers×|V|), not O(ranks×|V|). The merge order fixes every
+// float sum, so results are identical at every Parallelism setting;
+// EmbedRun delegates here, so the shard path is the only embedding path.
 func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) {
 	pmu = pmu.withDefaults()
 	p.NRanks = run.NRanks
@@ -167,28 +167,25 @@ func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) 
 	}
 	slots := make([][]embedAcc, min(2*workers, n))
 	ready := make([]chan struct{}, len(slots)) // slot filled, awaiting merge
-	free := make([]chan struct{}, len(slots))  // slot merged, awaiting refill
+	todo := make(chan int, len(slots))         // ranks handed out, not yet merged
 	for i := range slots {
 		slots[i] = make([]embedAcc, nv)
 		ready[i] = make(chan struct{}, 1)
-		free[i] = make(chan struct{}, 1)
-		free[i] <- struct{}{}
+		todo <- i
 	}
-	var next atomic.Int64
+	if len(slots) == n {
+		close(todo)
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				r := int(next.Add(1) - 1)
-				if r >= n {
-					return
+			for r := range todo {
+				if embedFillHook != nil {
+					embedFillHook(r)
 				}
-				// Ranks are claimed in order, so the rank this slot last
-				// held is always below r and its merge never waits on r.
 				s := r % len(slots)
-				<-free[s]
 				p.embedRankShard(run, r, slots[s], pmu)
 				ready[s] <- struct{}{}
 			}
@@ -198,10 +195,19 @@ func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) 
 		s := r % len(slots)
 		<-ready[s]
 		p.mergeEmbed(r, slots[s])
-		free[s] <- struct{}{}
+		if next := r + len(slots); next < n {
+			todo <- next // never blocks: at most W ranks are out at once
+			if next == n-1 {
+				close(todo)
+			}
+		}
 	}
 	wg.Wait()
 }
+
+// embedFillHook, when set, runs in the worker between receiving a rank and
+// filling its slot; tests use it to stall a worker there.
+var embedFillHook func(rank int)
 
 // mergeEmbed adds one rank's accumulators to the PAG's vertex metrics and
 // zeroes them for reuse.

@@ -103,6 +103,16 @@ type Model struct {
 // 4,307 (its stream has 1,412 items), so every corpus program keeps over
 // 100× headroom, and a runaway program is refused in under 100 ms on a
 // 2-vCPU Xeon.
+//
+// The cap bounds lint's cost, not what mpisim can run: its
+// Config.MaxOpsPerRank counts one rank's unrolled ops, while this stream
+// holds every branch arm and counts a loop body once, so neither count
+// bounds the other. Lint's analyzers evaluate the stream at every (rank,
+// size) they model, which on the same 2-vCPU Xeon costs about 60 µs and
+// 60 KB per item: a doubling chain of 65,535 items (work about 200,000)
+// lints in 3.9 s, and one of 131,071 items, refused here in under 60 ms,
+// took 9.2 s and 7.6 GB of allocation to lint without the cap. A stream of
+// MaxOpsPerRank items would take minutes.
 const MaxWork = 450_000
 
 // TooLargeError reports a program whose symbolic summary would exceed

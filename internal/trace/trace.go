@@ -244,9 +244,13 @@ func (r *Run) DegradedRanks() []int {
 }
 
 // TotalTime returns the virtual makespan: the maximum per-rank elapsed time.
-func (r *Run) TotalTime() float64 {
+func (r *Run) TotalTime() float64 { return Makespan(r.Elapsed) }
+
+// Makespan returns the latest of the given per-rank clocks (0 for none):
+// the wall time of a run whose ranks finished at those clocks.
+func Makespan(elapsed []float64) float64 {
 	var m float64
-	for _, e := range r.Elapsed {
+	for _, e := range elapsed {
 		if e > m {
 			m = e
 		}
